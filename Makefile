@@ -41,9 +41,9 @@ check-modes: build
 	  --seed 1 --execs 250
 
 # Toggle-storm oracle on a bounded seeded campaign: random run-time
-# toggling of probe subscriptions, dirty tracking, cmplog and superblock
-# formation must be architecturally invisible AND translation-flush-free
-# (the retranslation-free property; flushes_invalidate must stay 0).
+# toggling of probe subscriptions, dirty tracking and cmplog must be
+# architecturally invisible AND translation-flush-free (the
+# retranslation-free property; flushes_invalidate must stay 0).
 check-toggle: build
 	./_build/default/bin/embsan_cli.exe check --oracle toggle-storm \
 	  --oracle subscription-churn --seed 1 --execs 250
@@ -85,7 +85,7 @@ check-rehost: build
 check: build test bench-smoke check-diff check-snap check-modes check-toggle \
 	check-sched check-race check-orch check-rehost
 
-# Umbrella over every check-* target (what CI runs, one job per target).
+# Umbrella over every check-* target (what CI runs, in one job).
 check-all: check
 
 clean:

@@ -15,7 +15,7 @@
    numbers replay benign syscall sequences on a real firmware so the
    probe traffic is the runtime's own.
 
-   Three A/B sections pin the fuzzing-first engine work:
+   Two A/B sections pin the fuzzing-first engine work:
 
      toggle_storm   the hot loop with an instrumentation toggle between
                     every 50k-insn chunk -- "legacy" emulates the old
@@ -25,8 +25,6 @@
      cmplog_gate    a fixed-seed campaign on the magic-gate firmware with
                     compare-operand coverage off vs on -- only the cmplog
                     run may pass the 32-bit-token guard
-     superblocks    hot-loop throughput with superblock formation off vs
-                    on (hot chains fused into single closures)
 
    Ratio-based guards at the end fail the bench (non-zero exit) if the
    engine regresses below the PR-4 floors.  Results are written to
@@ -120,9 +118,9 @@ let run_engine engine =
 
 (* The hot loop with one instrumentation toggle per [toggle_chunk] retired
    insns: a fixed rotation over probe subscribe/unsubscribe, dirty
-   tracking, cmplog and superblock formation.  [legacy] emulates the old
-   engine's behavior (every toggle invalidated translations) with an
-   explicit [flush_tcg]; the patched path just pokes the site table. *)
+   tracking and cmplog.  [legacy] emulates the old engine's behavior
+   (every toggle invalidated translations) with an explicit [flush_tcg];
+   the patched path just pokes the site table. *)
 let toggle_chunk = 50_000
 
 let run_toggle ~legacy =
@@ -134,7 +132,8 @@ let run_toggle ~legacy =
   let sub = ref None in
   let phase = ref 0 in
   let toggle () =
-    (match !phase land 3 with
+    let on = (!phase / 3) land 1 = 0 in
+    (match !phase mod 3 with
     | 0 -> (
         match !sub with
         | None ->
@@ -142,9 +141,8 @@ let run_toggle ~legacy =
         | Some s ->
             Probe.unsubscribe s;
             sub := None)
-    | 1 -> Machine.set_dirty_tracking m (!phase land 4 = 0)
-    | 2 -> Machine.set_cmplog m (!phase land 4 = 0)
-    | _ -> Machine.set_superblocks m (!phase land 4 <> 0));
+    | 1 -> Machine.set_dirty_tracking m on
+    | _ -> Machine.set_cmplog m on);
     incr phase;
     if legacy then Machine.flush_tcg m
   in
@@ -162,25 +160,6 @@ let run_toggle ~legacy =
         m.Machine.total_insns - i0)
   in
   (sample, !toggles, m.Machine.stats.Engine_stats.flushes_invalidate)
-
-(* Hot-loop throughput with superblock formation off vs on; the warm-up is
-   long enough for the exec-count threshold to trigger fusion. *)
-let run_super on =
-  let arch = Arch.Arm_ev in
-  let m = Machine.create ~harts:1 ~arch () in
-  Machine.load_image m (hot_image ~arch);
-  Machine.set_superblocks m on;
-  Machine.boot m;
-  ignore (Machine.run m ~max_insns:200_000);
-  let sample =
-    measure (fun () ->
-        let i0 = m.Machine.total_insns in
-        (match Machine.run m ~max_insns:hot_loop_insns with
-        | Machine.Budget_exhausted -> ()
-        | s -> Fmt.failwith "emu bench: unexpected stop %a" Machine.pp_stop s);
-        m.Machine.total_insns - i0)
-  in
-  (sample, m.Machine.stats)
 
 (* Fixed-seed campaign on the magic-gate firmware: without cmplog the
    mutator cannot produce the 32-bit token; with it the guest's own
@@ -243,7 +222,7 @@ let opt_json = function Some s -> sample_json s | None -> "null"
    reference host).  Ratios are host-independent; the margins absorb
    normal machine-to-machine noise but not a real regression. *)
 let guards ~speedup ~chain_rate ~kasan_ratio ~kcsan_ratio ~toggle_ratio
-    ~super_ratio ~patched_flushes ~gate_solved =
+    ~patched_flushes ~gate_solved =
   [
     ("speedup_fast_vs_baseline >= 3.0", speedup >= 3.0);
     ("chain_rate >= 0.90", chain_rate >= 0.90);
@@ -252,7 +231,6 @@ let guards ~speedup ~chain_rate ~kasan_ratio ~kcsan_ratio ~toggle_ratio
     ( "kcsan_probed >= 2.0 x baseline",
       match kcsan_ratio with None -> true | Some r -> r >= 2.0 );
     ("patched toggles >= 1.0 x legacy throughput", toggle_ratio >= 1.0);
-    ("superblocks on >= 0.9 x off", super_ratio >= 0.9);
     ("toggle storm flush-free (flushes_invalidate = 0)", patched_flushes = 0);
     ("cmplog solves the magic gate", gate_solved);
   ]
@@ -280,15 +258,6 @@ let run () =
   row "patched" patched
     (Fmt.str "(%d toggles, %d flushes, %.2fx legacy)" patched_toggles
        patched_flushes (patched.rate /. legacy.rate));
-  Fmt.pr "@.Superblock formation@.";
-  let super_off, _ = run_super false in
-  let super_on, super_stats = run_super true in
-  row "super-off" super_off "(chained singles)";
-  row "super-on" super_on
-    (Fmt.str "(%.2fx off; %d formed, %d transfers fused)"
-       (super_on.rate /. super_off.rate)
-       super_stats.Engine_stats.superblocks_formed
-       super_stats.Engine_stats.super_transfers);
   Fmt.pr "@.Cmplog magic gate (%d execs, seed 1)@." gate_execs;
   let gate_off, off_to_bug = run_gate false in
   let gate_on, on_to_bug = run_gate true in
@@ -307,7 +276,6 @@ let run () =
     guards ~speedup ~chain_rate ~kasan_ratio:(ratio_of kasan)
       ~kcsan_ratio:(ratio_of kcsan)
       ~toggle_ratio:(patched.rate /. legacy.rate)
-      ~super_ratio:(super_on.rate /. super_off.rate)
       ~patched_flushes
       ~gate_solved:(off_to_bug = None && on_to_bug <> None)
   in
@@ -315,7 +283,7 @@ let run () =
   let json =
     Printf.sprintf
       {|{
-  "schema": "embsan-emu-bench/3",
+  "schema": "embsan-emu-bench/4",
   "workload": {
     "uninstrumented": "synthetic hot loop (stores, loads, call/ret, AMO, branches), %d insns per repeat, cache warmed",
     "probed": "benign syscall replay on %s, >= %d insns per repeat",
@@ -335,15 +303,6 @@ let run () =
     "patched_flushes_invalidate": %d,
     "patched_vs_legacy": %.2f
   },
-  "superblocks": {
-    "off": %s,
-    "on": %s,
-    "on_vs_off": %.2f,
-    "formed": %d,
-    "super_execs": %d,
-    "super_exits": %d,
-    "transfers_fused": %d
-  },
   "cmplog_gate": {
     "off": { "found": %d, "coverage": %d, "execs_to_bug": %s },
     "on": { "found": %d, "coverage": %d, "execs_to_bug": %s }
@@ -360,12 +319,6 @@ let run () =
       (opt_json kasan) (opt_json kcsan) (sample_json legacy)
       (sample_json patched) legacy_flushes patched_flushes
       (patched.rate /. legacy.rate)
-      (sample_json super_off) (sample_json super_on)
-      (super_on.rate /. super_off.rate)
-      super_stats.Engine_stats.superblocks_formed
-      super_stats.Engine_stats.super_execs
-      super_stats.Engine_stats.super_exits
-      super_stats.Engine_stats.super_transfers
       (List.length gate_off.r_found)
       gate_off.r_coverage (int_opt off_to_bug)
       (List.length gate_on.r_found)

@@ -33,14 +33,9 @@ let find_fw name =
   match Firmware_db.find name with
   | Some fw -> Ok fw
   | None ->
-      if String.equal name "syzbot-suite" then Ok Firmware_db.syzbot_suite_fw
-      else if String.equal name "cmplog-gate" then Ok Firmware_db.cmplog_gate_fw
-      else if String.equal name "race-suite" then Ok Firmware_db.race_suite_fw
-      else if String.equal name "mmio-suite" then Ok Firmware_db.mmio_suite_fw
-      else
-        Error
-          (Fmt.str "unknown firmware %S; try `embsan list` for the inventory"
-             name)
+      Error
+        (Fmt.str "unknown firmware %S; try `embsan list` for the inventory"
+           name)
 
 let fw_arg =
   let parse s = Result.map_error (fun e -> `Msg e) (find_fw s) in
@@ -60,12 +55,7 @@ let list_cmd =
       (fun fw ->
         Fmt.pr "%a %d@." Firmware_db.pp_table1_row fw
           (List.length fw.Firmware_db.fw_bugs))
-      (Firmware_db.all
-      @ [
-          Firmware_db.syzbot_suite_fw;
-          Firmware_db.race_suite_fw;
-          Firmware_db.mmio_suite_fw;
-        ])
+      (Firmware_db.all @ Firmware_db.suites)
   in
   Cmd.v (Cmd.info "list" ~doc:"List the available firmware images")
     Term.(const run $ const ())

@@ -1,5 +1,5 @@
-(** Execution-engine counters: translation-cache behaviour, block chaining
-    and superblock effectiveness (serialized into BENCH_emu.json). *)
+(** Execution-engine counters: translation-cache behaviour and block
+    chaining (serialized into BENCH_emu.json). *)
 
 type t = {
   mutable translations : int;  (** blocks translated (misses + stale) *)
@@ -11,10 +11,7 @@ type t = {
       (** [flush_tcg] / [set_engine] / restore flushes.  Probe and
           dirty-tracking toggles patch sites in place and count as neither
           kind. *)
-  mutable superblocks_formed : int;  (** hot chains fused *)
-  mutable super_execs : int;  (** entries into a fused block *)
-  mutable super_exits : int;  (** guard mispredicts out of a fused block *)
-  mutable super_transfers : int;  (** transfers fused away inside supers *)
+  mutable super_execs : int;  (** always 0; perfbench/layers.ml reads it *)
   mutable rehost_reads : int;
       (** unmapped-MMIO reads served by the rehost layer *)
   mutable irq_injected : int;  (** interrupts vectored by the rehost layer *)
@@ -29,8 +26,7 @@ val flushes : t -> int
 (** Fraction of non-chained block lookups served from the cache. *)
 val hit_rate : t -> float
 
-(** Fraction of all block-to-block transfers that skipped the hashtable
-    (chain links + superblock-internal transfers). *)
+(** Fraction of all block-to-block transfers served by a chain link. *)
 val chain_rate : t -> float
 
 val pp : Format.formatter -> t -> unit
@@ -39,7 +35,7 @@ val pp : Format.formatter -> t -> unit
 val schema : string
 
 (** Render as one schema-versioned JSON object holding every raw counter
-    (chaining, split flush counts, superblock formation) plus the derived
+    (chaining, split flush counts, rehosting) plus the derived
     rates (used by the bench pipeline). *)
 val to_json : t -> string
 

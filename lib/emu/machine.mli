@@ -10,8 +10,8 @@
     flush.
 
     The fast engine chains translated blocks (generation-tagged successor
-    links), fuses hot chains into superblocks, specializes
-    allocation-free RAM load/store templates at translation time, and
+    links), specializes allocation-free RAM load/store templates at
+    translation time, and
     batches retired-insn/cost accounting per block; see DESIGN.md
     "Execution engine" and "Fuzzing-first engine" for the invariants
     probes may rely on. *)
@@ -65,10 +65,7 @@ type t = {
   trap_handlers : (int, handler) Hashtbl.t;
   stats : Engine_stats.t;
   mutable engine : engine;
-  mutable superblocks : bool;  (** substitute fused blocks when available *)
-  mutable super_threshold : int;  (** execs before fusing; power of two *)
   mutable tcg_gen : int;  (** bumped by flush_tcg; invalidates chain links *)
-  mutable deadline : int;  (** current run_slice deadline, for fused guards *)
   mutable total_insns : int;
   mutable cost : int;  (** modeled guest cycles ({!Cost_model} weights) *)
   mutable external_cost : int;  (** host-side sanitizer cost units *)
@@ -113,10 +110,10 @@ val create :
 val add_device : t -> Device.t -> unit
 
 (** Explicitly flush the translation cache and invalidate all chained
-    successor links and superblocks (self-modifying code, snapshot
-    restore).  Instrumentation toggles never flush: probe
-    subscribe/unsubscribe, dirty tracking and cmplog all patch live
-    sites.  Counted in [stats.flushes_invalidate]. *)
+    successor links (self-modifying code, snapshot restore).
+    Instrumentation toggles never flush: probe subscribe/unsubscribe,
+    dirty tracking and cmplog all patch live sites.  Counted in
+    [stats.flushes_invalidate]. *)
 val flush_tcg : t -> unit
 
 (** Switch execution engines; flushes the translation cache when the mode
@@ -134,15 +131,6 @@ val set_dirty_tracking : t -> bool -> unit
 (** Toggle compare-operand recording (see {!Cmplog}); O(1), flush-free
     patch of the branch/compare sites. *)
 val set_cmplog : t -> bool -> unit
-
-(** Enable/disable hot-chain superblock fusion.  O(1): existing fused
-    blocks are kept but not substituted while off. *)
-val set_superblocks : t -> bool -> unit
-
-(** Executions of a chain head before fusion is attempted; must be a
-    power of two >= 2 (the hotness check is a mask).  Raises
-    [Invalid_argument] otherwise. *)
-val set_super_threshold : t -> int -> unit
 
 val set_trap_handler : t -> int -> handler -> unit
 val remove_trap_handler : t -> int -> unit

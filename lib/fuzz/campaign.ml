@@ -110,10 +110,14 @@ let match_crash (fw : Firmware_db.firmware) = function
       List.find_opt (fun (b : Defs.bug) -> b.b_class = Defs.Null_bug) fw.fw_bugs
   | _ -> None
 
+(* The campaign's own build: fuzzing and every confirmation replay boot
+   the same image (kcov-instrumented for Syzkaller-mode firmware), so a
+   confirmation verdict is about the build the finding came from. *)
+let boot_build cfg =
+  Replay.boot ~kcov:(uses_kcov cfg.fw) cfg.fw (Replay.Embsan_cfg cfg.sanitizers)
+
 let boot_with_coverage cfg cov =
-  let inst =
-    Replay.boot ~kcov:(uses_kcov cfg.fw) cfg.fw (Replay.Embsan_cfg cfg.sanitizers)
-  in
+  let inst = boot_build cfg in
   (if uses_kcov cfg.fw then Coverage.attach_kcov cov inst.machine
    else Coverage.attach_tcg cov inst.machine);
   if cfg.use_cmplog then Machine.set_cmplog inst.machine true;
@@ -155,7 +159,7 @@ let arm_rehost ~use_irq ctl seed =
   Rehost.arm ?irq ctl ~mmio:(fun () -> Rng.next mr)
 
 let reboot_repro cfg bug ?sched ?rehost calls =
-  match Replay.boot cfg.fw (Replay.Embsan_cfg cfg.sanitizers) with
+  match boot_build cfg with
   | exception Replay.Boot_failed _ -> false
   | inst ->
       arm_schedule inst.Replay.machine sched;
@@ -291,7 +295,7 @@ module Engine = struct
           (match !repro_state with
           | Some is -> is
           | None ->
-              let i = Replay.boot cfg.fw (Replay.Embsan_cfg cfg.sanitizers) in
+              let i = boot_build cfg in
               let rc =
                 if cfg.use_rehost then Some (Rehost.create i.Replay.machine)
                 else None

@@ -31,8 +31,6 @@ type firmware = {
 (** Table 1's eleven firmware images, in the paper's order. *)
 val all : firmware list
 
-val find : string -> firmware option
-
 (** The Table-2 bug-suite firmware (the 25 syzbot replays). *)
 val syzbot_suite_fw : firmware
 
@@ -58,6 +56,13 @@ val race_suite_fw : firmware
     rehosting layer ([lib/rehost]), only findable with injected
     interrupts.  The injection off/on A/B workload ([bench rehost]). *)
 val mmio_suite_fw : firmware
+
+(** The bug-suite firmware beside Table 1: syzbot-suite, cmplog-gate,
+    race-suite and mmio-suite. *)
+val suites : firmware list
+
+(** Look a firmware up by name in {!all} and {!suites}. *)
+val find : string -> firmware option
 
 (** The firmware value [Embsan.prepare] expects, in the image's Table-1
     instrumentation mode. *)

@@ -708,7 +708,7 @@ let engine_stats_counters () =
     m.stats.translations
 
 (* The schema-versioned JSON block round-trips every raw counter --
-   chaining, the split flush counters and the superblock family -- both
+   chaining, the split flush counters and the rehosting counters -- both
    on a synthetic record and on counters taken from a live machine. *)
 let engine_stats_json_roundtrip () =
   let s = Engine_stats.create () in
@@ -718,10 +718,6 @@ let engine_stats_json_roundtrip () =
   s.chained <- 11;
   s.flushes_load <- 13;
   s.flushes_invalidate <- 17;
-  s.superblocks_formed <- 19;
-  s.super_execs <- 23;
-  s.super_exits <- 29;
-  s.super_transfers <- 31;
   s.rehost_reads <- 37;
   s.irq_injected <- 41;
   Alcotest.(check bool) "synthetic round-trip" true
@@ -746,68 +742,52 @@ let engine_stats_json_roundtrip () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "schema mismatch accepted")
 
-(* A 500-iteration self-loop: hot enough that the chain head fuses. *)
-let hot_loop_text =
+(* A Fast hart turn is [chain_limit] = 16 chained blocks, however hot the
+   blocks are: hart 0 runs a 503-iteration self-loop and then spins, hart
+   1 spins, and every turn but the last (cut by the slice deadline) must
+   span exactly 16 block-probe events. *)
+let two_hart_turns_are_chain_limit () =
   let open Asm in
-  [
-    Label "main";
-    la Reg.t0 "buf";
-    li Reg.t1 0;
-    li Reg.t2 500;
-    Label "loop";
-    load W32 Reg.t3 Reg.t0 0;
-    addi Reg.t3 Reg.t3 1;
-    store W32 Reg.t0 Reg.t3 0;
-    addi Reg.t1 Reg.t1 1;
-    bltu Reg.t1 Reg.t2 "loop";
-    load W32 Reg.a0 Reg.t0 0;
-    halt;
-  ]
-
-let superblock_formation_and_transparency () =
-  (* hot-chain fusion must be architecturally invisible: same stop, same
-     fingerprint, same probe-event stream as the unfused run -- while the
-     fused run actually forms and executes superblocks *)
-  let run ~super =
-    let m, _ =
-      assemble_and_load ~harts:1
-        [ unit_ hot_loop_text [ Asm.Label "buf"; Asm.Words [ 0 ] ] ]
-    in
-    Machine.set_superblocks m super;
-    Machine.set_super_threshold m 4;
-    let blocks = ref 0 in
-    Probe.on_block m.probes (fun _ -> incr blocks);
-    let stop = Machine.run m ~max_insns:100_000 in
-    (stop, fingerprint m, !blocks, m.stats)
+  let text =
+    [
+      Label "main";
+      li Reg.t1 0;
+      li Reg.t2 503;
+      Label "loop";
+      addi Reg.t1 Reg.t1 1;
+      bltu Reg.t1 Reg.t2 "loop";
+      Label "spin0";
+      j "spin0";
+      Label "side";
+      j "side";
+    ]
   in
-  let stop_off, fp_off, blocks_off, _ = run ~super:false in
-  let stop_on, fp_on, blocks_on, stats_on = run ~super:true in
-  Alcotest.check check_stop "same stop" stop_off stop_on;
-  Alcotest.check check_stop "halted with count" (Machine.Halted 500) stop_on;
-  Alcotest.(check string) "identical architectural state" fp_off fp_on;
-  Alcotest.(check int) "identical block-probe stream" blocks_off blocks_on;
-  Alcotest.(check bool) "superblocks formed" true
-    (stats_on.superblocks_formed > 0);
-  Alcotest.(check bool) "superblocks executed" true (stats_on.super_execs > 0);
-  Alcotest.(check bool) "boundary transfers counted" true
-    (stats_on.super_transfers > 0)
-
-let superblock_toggle_is_flush_free () =
-  (* toggling fusion on/off mid-run is an O(1) patch like everything else *)
-  let m, _ =
-    assemble_and_load ~harts:1
-      [ unit_ hot_loop_text [ Asm.Label "buf"; Asm.Words [ 0 ] ] ]
+  let m, img = assemble_and_load [ unit_ text [] ] in
+  Machine.start_hart m 1 ~pc:(Image.symbol_addr_exn img "side")
+    ~sp:(Machine.ram_base m + Machine.ram_size m - 4096);
+  let events = ref [] in
+  Probe.on_block m.probes (fun e -> events := e.Probe.b_hart :: !events);
+  Alcotest.check check_stop "budget stop" Machine.Budget_exhausted
+    (Machine.run m ~max_insns:5_000);
+  (* run-length encode the hart stream into (hart, events) turns *)
+  let turns =
+    List.fold_left
+      (fun acc h ->
+        match acc with
+        | (h', n) :: rest when h' = h -> (h, n + 1) :: rest
+        | _ -> (h, 1) :: acc)
+      [] (List.rev !events)
+    |> List.rev
   in
-  Machine.set_super_threshold m 4;
-  for _ = 1 to 10 do
-    Machine.set_superblocks m false;
-    Machine.set_superblocks m true
-  done;
-  (match Machine.run m ~max_insns:100_000 with
-  | Machine.Halted 500 -> ()
-  | s -> Alcotest.failf "expected halted(500), got %a" Machine.pp_stop s);
-  Alcotest.(check int) "zero invalidation flushes" 0
-    m.stats.flushes_invalidate
+  Alcotest.(check bool) "hart 0 left the loop" true
+    (Machine.(m.harts.(0).Cpu.pc) = Image.symbol_addr_exn img "spin0");
+  Alcotest.(check bool) "both harts ran" true
+    (List.exists (fun (h, _) -> h = 1) turns);
+  List.iteri
+    (fun i (h, n) ->
+      if i < List.length turns - 1 && n <> 16 then
+        Alcotest.failf "turn %d (hart %d) spans %d blocks, expected 16" i h n)
+    turns
 
 let cmplog_compare_coverage () =
   (* branch/compare sites record operand triples when enabled: the magic
@@ -1150,10 +1130,8 @@ let () =
           Alcotest.test_case "stats counters" `Quick engine_stats_counters;
           Alcotest.test_case "stats JSON round-trip" `Quick
             engine_stats_json_roundtrip;
-          Alcotest.test_case "superblock transparency" `Quick
-            superblock_formation_and_transparency;
-          Alcotest.test_case "superblock toggle flush-free" `Quick
-            superblock_toggle_is_flush_free;
+          Alcotest.test_case "two-hart turns are chain_limit blocks" `Quick
+            two_hart_turns_are_chain_limit;
           Alcotest.test_case "cmplog compare coverage" `Quick
             cmplog_compare_coverage;
           Alcotest.test_case "cmplog agreement gradient" `Quick

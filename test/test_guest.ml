@@ -162,6 +162,17 @@ let table1_inventory () =
   Alcotest.(check int) "25 syzbot bugs" 25
     (List.length Firmware_db.syzbot_suite_fw.fw_bugs)
 
+(* One registry: every image `embsan list` prints (Table 1 plus the bug
+   suites) resolves by name through [Firmware_db.find]. *)
+let registry_names_resolve () =
+  List.iter
+    (fun (fw : Firmware_db.firmware) ->
+      match Firmware_db.find fw.fw_name with
+      | Some f when f == fw -> ()
+      | _ -> Alcotest.failf "%s does not resolve" fw.fw_name)
+    (Firmware_db.all @ Firmware_db.suites);
+  Alcotest.(check int) "four bug suites" 4 (List.length Firmware_db.suites)
+
 (* --- bug registry: reproducers and benign paths -------------------------------- *)
 
 let all_reproducers_detected () =
@@ -363,6 +374,8 @@ let () =
       ( "firmware",
         [
           Alcotest.test_case "table 1 inventory" `Quick table1_inventory;
+          Alcotest.test_case "registry names resolve" `Quick
+            registry_names_resolve;
           Alcotest.test_case "all builds boot (4 modes)" `Slow firmware_boots;
           Alcotest.test_case "closed firmware stripped" `Quick
             closed_firmware_is_stripped;

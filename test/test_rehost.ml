@@ -208,6 +208,33 @@ let campaign_never_without_injection () =
   Alcotest.(check int) "and no architectural crashes either" 0
     r.Campaign.r_crashes
 
+(* Confirmation replays boot the campaign's own (kcov) build.  On a
+   non-kcov build the guest retires a different insn count, so an
+   injected interrupt lands elsewhere and this finding used to stay
+   unconfirmed. *)
+let confirms_on_campaign_build () =
+  let cfg =
+    {
+      (Campaign.default_config fw) with
+      max_execs = 60;
+      seed = Rng.split_seed ~seed:1 ~shard:1;
+      stop_when_all_found = false;
+      use_rehost = true;
+      use_irq = true;
+    }
+  in
+  let r = Campaign.run cfg in
+  match
+    List.find_opt
+      (fun (f : Campaign.found) ->
+        f.Campaign.f_bug.Defs.b_id = "mmio-suite/irq_uaf")
+      r.Campaign.r_found
+  with
+  | None -> Alcotest.fail "mmio-suite/irq_uaf not found"
+  | Some f ->
+      Alcotest.(check int) "found at exec 21" 21 f.Campaign.f_exec;
+      Alcotest.(check bool) "confirmed" true f.Campaign.f_confirmed
+
 (* Rehost seeds minimize toward None: on a firmware whose bugs fire
    without the rehost layer (nothing touches the window), confirmation
    must drop the seed even though every execution drew one. *)
@@ -366,6 +393,8 @@ let () =
             campaign_finds_with_injection;
           Alcotest.test_case "never finds it without injection" `Slow
             campaign_never_without_injection;
+          Alcotest.test_case "confirms on the campaign's build" `Slow
+            confirms_on_campaign_build;
           Alcotest.test_case "minimizes rehost seeds to None" `Slow
             minimizes_rehost_to_none;
           Alcotest.test_case "jobs=4 repetition-stable" `Slow
