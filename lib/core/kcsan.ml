@@ -19,7 +19,7 @@ type watchpoint = {
 type t = {
   sink : Report.sink;
   symbolize : int -> string option;
-  shadow : Shadow.t; (* unified shadow: KCSAN uses its sampling plane *)
+  shadow : Shadow.t; (* unified shadow: KCSAN watches only what it covers *)
   interval : int;
   stall_insns : int;
   mutable skip : int;
@@ -137,7 +137,6 @@ let on_access t machine ~addr ~size ~is_write ~pc ~hart =
       w.w_conflict <- Some (pc, hart, is_write)
   | Some _ | None -> ());
   (* 3. sampling: arm a new watchpoint every [interval] accesses *)
-  ignore (Shadow.kcsan_bump t.shadow addr);
   t.skip <- t.skip - 1;
   (* never watch device memory: MMIO registers are volatile by nature and
      re-reading them has side effects (like the kernel skipping ioremap) *)

@@ -1,10 +1,11 @@
 (* Unified host-side shadow memory (S3.3).
 
    One byte of KASAN state per 8-byte granule of guest RAM, using the kernel
-   encoding, plus a parallel per-granule plane used by the KCSAN
-   functionality for its sampling state.  Keeping both planes in one
-   structure is the paper's "unified shadow memory that records information
-   for multiple sanitizer functionalities". *)
+   encoding, behind the guest-RAM bounds every sanitizer functionality
+   shares: KASAN validates accesses against it, KCSAN only watches
+   addresses it covers, ftrace sizes its own planes from its bounds.  One
+   structure shared by all of them is the paper's "unified shadow memory
+   that records information for multiple sanitizer functionalities". *)
 
 type code =
   | Addressable
@@ -55,7 +56,6 @@ type t = {
   base : int; (* guest RAM base *)
   limit : int;
   kasan : Bytes.t; (* one byte per granule *)
-  kcsan_epoch : Bytes.t; (* sampling state plane for KCSAN *)
 }
 
 let granule = 8
@@ -66,7 +66,6 @@ let create ~ram_base ~ram_size =
     base = ram_base;
     limit = ram_base + ram_size;
     kasan = Bytes.make granules '\000';
-    kcsan_epoch = Bytes.make granules '\000';
   }
 
 let covers t addr = addr >= t.base && addr < t.limit
@@ -121,29 +120,12 @@ let check t ~addr ~size =
 
 (* --- Snapshot support --------------------------------------------------------- *)
 
-type state = { s_kasan : Bytes.t; s_kcsan_epoch : Bytes.t }
+type state = { s_kasan : Bytes.t }
 
-(** Deep copy of both shadow planes for the snapshot service. *)
-let save t =
-  { s_kasan = Bytes.copy t.kasan; s_kcsan_epoch = Bytes.copy t.kcsan_epoch }
+(** Deep copy of the shadow for the snapshot service. *)
+let save t = { s_kasan = Bytes.copy t.kasan }
 
 let restore t (s : state) =
-  if
-    Bytes.length s.s_kasan <> Bytes.length t.kasan
-    || Bytes.length s.s_kcsan_epoch <> Bytes.length t.kcsan_epoch
-  then invalid_arg "Shadow.restore: size mismatch";
-  Bytes.blit s.s_kasan 0 t.kasan 0 (Bytes.length t.kasan);
-  Bytes.blit s.s_kcsan_epoch 0 t.kcsan_epoch 0 (Bytes.length t.kcsan_epoch)
-
-(* --- KCSAN plane -------------------------------------------------------------- *)
-
-(** Per-granule monotonically wrapping access counter, used by the host
-    KCSAN runtime to diversify watchpoint selection across addresses. *)
-let kcsan_bump t addr =
-  if covers t addr then begin
-    let i = index t addr in
-    let v = Bytes.get_uint8 t.kcsan_epoch i in
-    Bytes.set_uint8 t.kcsan_epoch i ((v + 1) land 0xFF);
-    v
-  end
-  else 0
+  if Bytes.length s.s_kasan <> Bytes.length t.kasan then
+    invalid_arg "Shadow.restore: size mismatch";
+  Bytes.blit s.s_kasan 0 t.kasan 0 (Bytes.length t.kasan)

@@ -1,6 +1,7 @@
 (** Unified host-side shadow memory (paper section 3.3): one byte of KASAN
-    state per 8-byte granule of guest RAM using the kernel encoding, plus a
-    parallel per-granule plane used by the KCSAN functionality. *)
+    state per 8-byte granule of guest RAM using the kernel encoding, shared
+    by every sanitizer functionality (KCSAN and ftrace use its guest-RAM
+    bounds). *)
 
 type code =
   | Addressable
@@ -28,7 +29,6 @@ type t = {
   base : int;
   limit : int;
   kasan : Bytes.t;
-  kcsan_epoch : Bytes.t;
 }
 
 val granule : int
@@ -55,10 +55,7 @@ type verdict = Valid | Invalid of code
     guest RAM are [Valid] (MMIO and fault logic own them). *)
 val check : t -> addr:int -> size:int -> verdict
 
-(** Bump and return the KCSAN sampling counter of [addr]'s granule. *)
-val kcsan_bump : t -> int -> int
-
-(** Snapshot of both shadow planes (deep copy); a saved [state] is immune
+(** Snapshot of the shadow (deep copy); a saved [state] is immune
     to later mutation of the live shadow and survives repeated restores. *)
 type state
 

@@ -12,16 +12,14 @@ type entry = {
   e_new_pairs : int;
 }
 
-type t = {
-  seen : (int * int, unit) Hashtbl.t;
-  mutable entries : entry list;
-  mutable total_pairs : int;
-}
+type t
 
 val create : unit -> t
 
 (** Record an execution's coverage signature; [true] iff it contributed new
-    coverage (the program was added). *)
+    coverage (the program was added).  Raises [Invalid_argument] on a pair
+    with a negative index or a bucket outside 0..15 (coverage hit-count
+    classes are 1..8, cmplog features use 1). *)
 val consider : t -> Prog.t -> ?sched:int -> ?rehost:int -> (int * int) list -> bool
 
 val size : t -> int

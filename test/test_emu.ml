@@ -396,7 +396,7 @@ let coverage_tcg () =
   let cov = Coverage.create ~harts:2 in
   Coverage.attach_tcg cov m;
   ignore (Machine.run m ~max_insns:1000);
-  Alcotest.(check bool) "blocks seen" true (cov.blocks_seen > 3);
+  Alcotest.(check bool) "blocks seen" true (Coverage.blocks_seen cov > 3);
   Alcotest.(check bool) "edges recorded" true (Coverage.edge_count cov > 0);
   let sig1 = Coverage.signature cov in
   Coverage.reset_edges cov;
@@ -421,7 +421,84 @@ let coverage_kcov () =
   let cov = Coverage.create ~harts:2 in
   Coverage.attach_kcov cov m;
   ignore (Machine.run m ~max_insns:1000);
-  Alcotest.(check int) "two kcov records" 2 cov.blocks_seen
+  Alcotest.(check int) "two kcov records" 2 (Coverage.blocks_seen cov)
+
+(* The reference triage: scan every bitmap byte, bucket the non-zero
+   ones into AFL's hit-count classes. *)
+let full_scan_signature cov =
+  let bucket v =
+    if v <= 3 then v
+    else if v <= 7 then 4
+    else if v <= 15 then 5
+    else if v <= 31 then 6
+    else if v <= 127 then 7
+    else 8
+  in
+  let acc = ref [] in
+  for i = Coverage.bitmap_size - 1 downto 0 do
+    let v = Coverage.hit_count cov i in
+    if v > 0 then acc := (i, bucket v) :: !acc
+  done;
+  !acc
+
+type cov_op =
+  | Record of int * int * int (* hart, pc, hits *)
+  | Sweep of int (* one hit on each of n consecutive blocks, hart 0 *)
+  | Reset
+
+(* Random record/reset sequences: harts 0 and 1 plus two out of range,
+   a small pc pool so edges repeat, bursts of up to 400 hits so a byte
+   saturates at 255, and sweeps over more blocks than the touched
+   index first holds.  The touched-index signature must equal the
+   full scan before every reset and at the end, and a reset must zero
+   every byte. *)
+let coverage_index_matches_scan =
+  let open QCheck2 in
+  let op =
+    Gen.(
+      frequency
+        [
+          ( 9,
+            map3
+              (fun hart pc hits -> Record (hart, pc, hits))
+              (int_range (-1) 2)
+              (map (fun k -> 0x1_0000 + (8 * k)) (int_range 0 47))
+              (frequency [ (6, return 1); (3, int_range 2 40); (1, int_range 200 400) ]) );
+          (1, map (fun n -> Sweep n) (int_range 1000 3000));
+          (1, return Reset);
+        ])
+  in
+  Test.make ~name:"touched-index signature = full bitmap scan" ~count:100
+    ~print:(fun ops -> Printf.sprintf "%d ops" (List.length ops))
+    Gen.(list_size (int_range 1 60) op)
+    (fun ops ->
+      let cov = Coverage.create ~harts:2 in
+      let agrees () =
+        let sg = Coverage.signature cov in
+        sg = full_scan_signature cov && Coverage.edge_count cov = List.length sg
+      in
+      List.for_all
+        (function
+          | Record (hart, pc, hits) ->
+              for _ = 1 to hits do
+                Coverage.record cov ~hart ~pc
+              done;
+              true
+          | Sweep n ->
+              for k = 0 to n - 1 do
+                Coverage.record cov ~hart:0 ~pc:(0x2_0000 + (8 * k))
+              done;
+              true
+          | Reset ->
+              let before = agrees () in
+              Coverage.reset_edges cov;
+              let zero = ref true in
+              for i = 0 to Coverage.bitmap_size - 1 do
+                if Coverage.hit_count cov i <> 0 then zero := false
+              done;
+              before && !zero && Coverage.signature cov = [])
+        ops
+      && agrees ())
 
 let deadlock_detected () =
   let open Asm in
@@ -1173,5 +1250,6 @@ let () =
         [
           Alcotest.test_case "tcg blocks" `Quick coverage_tcg;
           Alcotest.test_case "kcov hypercall" `Quick coverage_kcov;
+          QCheck_alcotest.to_alcotest coverage_index_matches_scan;
         ] );
     ]

@@ -217,6 +217,30 @@ let corpus_triage () =
   Alcotest.(check int) "coverage pairs" 3 (Corpus.coverage c);
   Alcotest.(check int) "programs retained" 2 (List.length (Corpus.programs c))
 
+(* [consider] against the tuple-set triage it replaced: the same
+   admissions, sizes and pair counts on random signatures, including
+   repeated pairs and cmplog-range indices. *)
+let corpus_matches_tuple_reference =
+  let open QCheck2 in
+  let pair_gen =
+    Gen.(pair (oneof [ int_range 0 300; int_range 65536 65600 ]) (int_range 1 8))
+  in
+  Test.make ~name:"consider = tuple-set reference" ~count:200
+    Gen.(list_size (int_range 1 30) (list_size (int_range 0 20) pair_gen))
+    (fun sigs ->
+      let c = Corpus.create () in
+      let seen = Hashtbl.create 64 and size = ref 0 and pairs = ref 0 in
+      List.for_all
+        (fun sg ->
+          let fresh = List.filter (fun p -> not (Hashtbl.mem seen p)) sg in
+          List.iter (fun p -> Hashtbl.replace seen p ()) fresh;
+          if fresh <> [] then incr size;
+          pairs := !pairs + List.length fresh;
+          Corpus.consider c [] sg = (fresh <> [])
+          && Corpus.size c = !size
+          && Corpus.coverage c = !pairs)
+        sigs)
+
 (* --- campaigns ------------------------------------------------------------------- *)
 
 let small_fw () = Option.get (Firmware_db.find "OpenHarmony-stm32f407")
@@ -242,6 +266,44 @@ let campaign_deterministic () =
   in
   let a = run () and b = run () in
   Alcotest.(check bool) "same findings and coverage" true (a = b)
+
+(* Fixed-seed trajectories pinned to the values the full-bitmap-scan
+   triage produced: an O(edges touched) triage must not move a single
+   admission, exec or finding. *)
+let campaign_trajectories_pinned () =
+  let pinned name ~corpus ~coverage ~insns found =
+    let fw = Option.get (Firmware_db.find name) in
+    let cfg =
+      {
+        (Campaign.default_config fw) with
+        max_execs = 600;
+        seed = 1;
+        stop_when_all_found = false;
+      }
+    in
+    let r = Campaign.run cfg in
+    Alcotest.(check int) (name ^ " execs") 600 r.r_execs;
+    Alcotest.(check int) (name ^ " corpus") corpus r.r_corpus;
+    Alcotest.(check int) (name ^ " coverage") coverage r.r_coverage;
+    Alcotest.(check int) (name ^ " insns") insns r.r_insns;
+    Alcotest.(check (list (triple string int bool)))
+      (name ^ " found") found
+      (List.sort compare
+         (List.map
+            (fun (f : Campaign.found) -> (f.f_bug.b_id, f.f_exec, f.f_confirmed))
+            r.r_found))
+  in
+  pinned "OpenHarmony-stm32mp1" ~corpus:112 ~coverage:518 ~insns:2812484
+    [ ("liteos/vfs_path_lookup", 1, true) ];
+  pinned "OpenWRT-armvirt" ~corpus:61 ~coverage:241 ~insns:3896924
+    [
+      ("linux/atl1c_close", 64, true);
+      ("linux/mvneta_tx_fill", 30, true);
+      ("linux/nf_setrule", 274, true);
+      ("linux/nfs_common_decode", 1, true);
+      ("linux/r8169_get_stats", 30, true);
+      ("linux/wext_scan_result", 236, true);
+    ]
 
 let campaign_seed_variation () =
   let fw = small_fw () in
@@ -386,11 +448,17 @@ let () =
           QCheck_alcotest.to_alcotest mutate_preserves_validity;
           Alcotest.test_case "flag domains" `Quick flag_domain_respected;
         ] );
-      ("corpus", [ Alcotest.test_case "triage" `Quick corpus_triage ]);
+      ( "corpus",
+        [
+          Alcotest.test_case "triage" `Quick corpus_triage;
+          QCheck_alcotest.to_alcotest corpus_matches_tuple_reference;
+        ] );
       ( "campaign",
         [
           Alcotest.test_case "finds and confirms bugs" `Slow campaign_finds_bugs;
           Alcotest.test_case "deterministic" `Slow campaign_deterministic;
+          Alcotest.test_case "fixed-seed trajectories pinned" `Quick
+            campaign_trajectories_pinned;
           Alcotest.test_case "seed variation" `Slow campaign_seed_variation;
           Alcotest.test_case "Tardis mode on closed firmware" `Slow
             tardis_mode_needs_no_guest_support;
