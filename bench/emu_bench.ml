@@ -153,7 +153,7 @@ let toggle_sample ~legacy =
     | 0 -> (
         match !sub with
         | None ->
-            sub := Some (Probe.subscribe_block m.Machine.probes (fun _ -> ()))
+            sub := Some (Probe.subscribe_block m.Machine.probes (fun ~hart:_ ~pc:_ -> ()))
         | Some s ->
             Probe.unsubscribe s;
             sub := None)
@@ -257,14 +257,16 @@ let opt_json = function Some s -> sample_json s | None -> "null"
 (* Ratio-based regression floors, derived from the PR-4 BENCH_emu.json
    (baseline 23.7M, fast 105.9M, kasan 22.2M, kcsan 86.5M insns/sec on the
    reference host).  Ratios are host-independent; the margins absorb
-   normal machine-to-machine noise but not a real regression. *)
+   normal machine-to-machine noise but not a real regression.  The KASAN
+   floor was raised from 0.60 to 1.0 when probed accesses became
+   allocation-free with an inline quiet test (measured 1.6-1.7x). *)
 let guards ~speedup ~chain_rate ~kasan_ratio ~kcsan_ratio ~toggle_ratio
     ~patched_flushes ~gate_solved =
   [
     ("speedup_fast_vs_baseline >= 3.0", speedup >= 3.0);
     ("chain_rate >= 0.90", chain_rate >= 0.90);
-    ( "kasan_probed >= 0.60 x baseline",
-      match kasan_ratio with None -> true | Some r -> r >= 0.60 );
+    ( "kasan_probed >= 1.0 x baseline",
+      match kasan_ratio with None -> true | Some r -> r >= 1.0 );
     ( "kcsan_probed >= 2.0 x baseline",
       match kcsan_ratio with None -> true | Some r -> r >= 2.0 );
     ("patched toggles >= 1.0 x legacy throughput", toggle_ratio >= 1.0);

@@ -87,11 +87,16 @@ let machine_of ?(harts = 1) (p : Progen.t) =
       Cpu.set cpu Reg.a0 (Cpu.get cpu Reg.a0 lxor 0x5A5A));
   m
 
+let nop_mem ~hart:_ ~pc:_ ~addr:_ ~size:_ ~is_write:_ ~is_atomic:_ ~value:_ = ()
+let nop_call ~hart:_ ~pc:_ ~target:_ = ()
+let nop_ret ~hart:_ ~pc:_ ~target:_ ~retval:_ = ()
+let nop_block ~hart:_ ~pc:_ = ()
+
 let no_op_probes (m : Machine.t) =
-  Probe.on_mem m.probes (fun _ -> ());
-  Probe.on_call m.probes (fun _ -> ());
-  Probe.on_ret m.probes (fun _ -> ());
-  Probe.on_block m.probes (fun _ -> ())
+  Probe.on_mem m.probes nop_mem;
+  Probe.on_call m.probes nop_call;
+  Probe.on_ret m.probes nop_ret;
+  Probe.on_block m.probes nop_block
 
 (* Run [ma] (reference) and [mb] (variant) in lockstep; [between] perturbs
    [mb] between sync points (metamorphic knob).  Returns the first
@@ -184,10 +189,10 @@ let toggle_storm ~cfg (p : Progen.t) =
       | 2 ->
           let s =
             match Rng.below rng 4 with
-            | 0 -> Probe.subscribe_mem mb.Machine.probes (fun _ -> ())
-            | 1 -> Probe.subscribe_call mb.Machine.probes (fun _ -> ())
-            | 2 -> Probe.subscribe_ret mb.Machine.probes (fun _ -> ())
-            | _ -> Probe.subscribe_block mb.Machine.probes (fun _ -> ())
+            | 0 -> Probe.subscribe_mem mb.Machine.probes nop_mem
+            | 1 -> Probe.subscribe_call mb.Machine.probes nop_call
+            | 2 -> Probe.subscribe_ret mb.Machine.probes nop_ret
+            | _ -> Probe.subscribe_block mb.Machine.probes nop_block
           in
           subs := s :: !subs
       | _ -> (

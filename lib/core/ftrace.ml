@@ -427,6 +427,7 @@ module Plugin = struct
   let access t ~pc ~addr ~size ~is_write ~is_atomic ~hart =
     on_access t ~pc ~addr ~size ~is_write ~is_atomic ~hart
 
+  let quiet _ = Sanitizer.Loud
   let event _ _ = ()
   let scan _ ~now:_ = 0
 

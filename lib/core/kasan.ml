@@ -16,7 +16,7 @@ type t = {
   quarantine : int Queue.t; (* recently freed pointers, FIFO *)
   quarantine_max : int; (* bounded tracking of freed blocks *)
   mutable redzone : int;
-  mutable access_checks : int;
+  access_checks : Sanitizer.tally; (* also bumped by the runtime's quiet test *)
   mutable alloc_events : int;
   mutable free_events : int;
 }
@@ -30,7 +30,7 @@ let create ?(quarantine_max = 512) ~shadow ~sink ~symbolize () =
     quarantine = Queue.create ();
     quarantine_max;
     redzone = 16;
-    access_checks = 0;
+    access_checks = { Sanitizer.count = 0 };
     alloc_events = 0;
     free_events = 0;
   }
@@ -58,7 +58,7 @@ let save t =
       Hashtbl.fold (fun ptr i acc -> (ptr, copy_info i) :: acc) t.allocs [];
     s_quarantine = List.rev (Queue.fold (fun acc p -> p :: acc) [] t.quarantine);
     s_redzone = t.redzone;
-    s_access_checks = t.access_checks;
+    s_access_checks = t.access_checks.count;
     s_alloc_events = t.alloc_events;
     s_free_events = t.free_events;
   }
@@ -69,13 +69,15 @@ let restore t (s : state) =
   Queue.clear t.quarantine;
   List.iter (fun p -> Queue.push p t.quarantine) s.s_quarantine;
   t.redzone <- s.s_redzone;
-  t.access_checks <- s.s_access_checks;
+  t.access_checks.count <- s.s_access_checks;
   t.alloc_events <- s.s_alloc_events;
   t.free_events <- s.s_free_events
 
+(* [detail] is only formatted for a new report: a duplicate costs the
+   dedup lookup, not [describe_owner]'s walk over the allocation table. *)
 let report t ~kind ~addr ~size ~is_write ~pc ~hart ~detail =
   ignore
-    (Report.add t.sink
+    (Report.add_lazy t.sink
        {
          kind;
          sanitizer = "kasan";
@@ -85,8 +87,9 @@ let report t ~kind ~addr ~size ~is_write ~pc ~hart ~detail =
          pc;
          hart;
          location = t.symbolize pc;
-         detail;
-       })
+         detail = "";
+       }
+       ~detail)
 
 (* --- State maintenance ------------------------------------------------------- *)
 
@@ -119,10 +122,10 @@ let on_free t ~ptr ~pc ~hart =
         end
     | Some _ ->
         report t ~kind:Report.Double_free ~addr:ptr ~size:0 ~is_write:true ~pc
-          ~hart ~detail:"block already freed"
+          ~hart ~detail:(fun () -> "block already freed")
     | None ->
         report t ~kind:Report.Invalid_free ~addr:ptr ~size:0 ~is_write:true ~pc
-          ~hart ~detail:"pointer was never allocated"
+          ~hart ~detail:(fun () -> "pointer was never allocated")
 
 let on_register_global t ~addr ~size =
   let rz = t.redzone in
@@ -160,11 +163,14 @@ let describe_owner t addr =
         | None -> "")
   | None -> "no nearby allocation"
 
+(* Accesses below this address are null dereferences. *)
+let null_page = 0x1000
+
 let on_access t ~addr ~size ~is_write ~pc ~hart =
-  t.access_checks <- t.access_checks + 1;
-  if addr < 0x1000 then
+  t.access_checks.count <- t.access_checks.count + 1;
+  if addr < null_page then
     report t ~kind:Report.Null_deref ~addr ~size ~is_write ~pc ~hart
-      ~detail:"dereference in the first page"
+      ~detail:(fun () -> "dereference in the first page")
   else
     match Shadow.check t.shadow ~addr ~size with
     | Shadow.Valid -> ()
@@ -177,9 +183,9 @@ let on_access t ~addr ~size ~is_write ~pc ~hart =
           | Addressable -> assert false
         in
         report t ~kind ~addr ~size ~is_write ~pc ~hart
-          ~detail:
-            (Printf.sprintf "shadow: %s; %s" (Shadow.code_name code)
-               (describe_owner t addr))
+          ~detail:(fun () ->
+            Printf.sprintf "shadow: %s; %s" (Shadow.code_name code)
+              (describe_owner t addr))
 
 (* --- Plugin ------------------------------------------------------------------ *)
 
@@ -204,6 +210,12 @@ module Plugin = struct
 
   let access t ~pc ~addr ~size ~is_write ~is_atomic:_ ~hart =
     on_access t ~addr ~size ~is_write ~pc ~hart
+
+  (* [on_access] does nothing but count an access that is not a null
+     dereference and whose granules are all addressable *)
+  let quiet t =
+    Sanitizer.Shadow_clear
+      { shadow = t.shadow; above = null_page; checks = t.access_checks }
 
   let event t = function
     | Sanitizer.Alloc { ptr; size; pc; now = _ } -> on_alloc t ~ptr ~size ~pc
@@ -230,7 +242,7 @@ module Plugin = struct
 
   let stats t =
     [
-      ("access_checks", t.access_checks);
+      ("access_checks", t.access_checks.count);
       ("alloc_events", t.alloc_events);
       ("free_events", t.free_events);
     ]

@@ -15,7 +15,9 @@ type t = {
   quarantine : int Queue.t;
   quarantine_max : int;
   mutable redzone : int;
-  mutable access_checks : int;
+  access_checks : Sanitizer.tally;
+      (** accesses checked, including those the runtime's inline quiet
+          test counts without calling {!on_access} *)
   mutable alloc_events : int;
   mutable free_events : int;
 }

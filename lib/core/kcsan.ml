@@ -22,28 +22,31 @@ type t = {
   shadow : Shadow.t; (* unified shadow: KCSAN watches only what it covers *)
   interval : int;
   stall_insns : int;
-  mutable skip : int;
+  (* sampling countdown, access counter and armed flag, shared with the
+     runtime's inline quiet test: [armed] is [watch <> None ||
+     pending_close <> None], kept so by [set_watch] *)
+  sampler : Sanitizer.sampler;
   mutable rng : int; (* xorshift state for sampling jitter *)
   mutable watch : watchpoint option;
   (* the (hart, pc) whose retried access must close the watchpoint *)
   mutable pending_close : (int * int) option;
-  mutable access_events : int;
   mutable watchpoints_set : int;
   mutable races : int;
 }
 
-let create ?(interval = 120) ?(stall_insns = 1200) ~shadow ~sink ~symbolize () =
+let create ?(interval = 120) ?(stall_insns = 1200) ?(check_cost = 0) ~shadow
+    ~sink ~symbolize () =
   {
     sink;
     symbolize;
     shadow;
     interval;
     stall_insns;
-    skip = interval;
+    sampler =
+      { Sanitizer.countdown = interval; armed = false; seen = 0; cost = check_cost };
     rng = 0x2545F491;
     watch = None;
     pending_close = None;
-    access_events = 0;
     watchpoints_set = 0;
     races = 0;
   }
@@ -64,23 +67,27 @@ type state = {
    restore so the saved state is immune to later window activity. *)
 let copy_watch (w : watchpoint) = { w with w_conflict = w.w_conflict }
 
+let set_watch t watch pending_close =
+  t.watch <- watch;
+  t.pending_close <- pending_close;
+  t.sampler.armed <- watch <> None || pending_close <> None
+
 let save t =
   {
-    s_skip = t.skip;
+    s_skip = t.sampler.countdown;
     s_rng = t.rng;
     s_watch = Option.map copy_watch t.watch;
     s_pending_close = t.pending_close;
-    s_access_events = t.access_events;
+    s_access_events = t.sampler.seen;
     s_watchpoints_set = t.watchpoints_set;
     s_races = t.races;
   }
 
 let restore t (s : state) =
-  t.skip <- s.s_skip;
+  t.sampler.countdown <- s.s_skip;
   t.rng <- s.s_rng;
-  t.watch <- Option.map copy_watch s.s_watch;
-  t.pending_close <- s.s_pending_close;
-  t.access_events <- s.s_access_events;
+  set_watch t (Option.map copy_watch s.s_watch) s.s_pending_close;
+  t.sampler.seen <- s.s_access_events;
   t.watchpoints_set <- s.s_watchpoints_set;
   t.races <- s.s_races
 
@@ -116,12 +123,12 @@ let read_watched machine ~addr ~size =
     to stall the accessing hart (the access is re-executed when the stall
     window expires, which is what closes the watchpoint). *)
 let on_access t machine ~addr ~size ~is_write ~pc ~hart =
-  t.access_events <- t.access_events + 1;
+  let s = t.sampler in
+  s.seen <- s.seen + 1;
   (* 1. closing a previously armed watchpoint? *)
   (match (t.watch, t.pending_close) with
   | Some w, Some (h, p) when h = hart && p = pc ->
-      t.watch <- None;
-      t.pending_close <- None;
+      set_watch t None None;
       let after = read_watched machine ~addr:w.w_addr ~size:w.w_size in
       (match w.w_conflict with
       | Some _ as other -> report t w ~other
@@ -137,10 +144,10 @@ let on_access t machine ~addr ~size ~is_write ~pc ~hart =
       w.w_conflict <- Some (pc, hart, is_write)
   | Some _ | None -> ());
   (* 3. sampling: arm a new watchpoint every [interval] accesses *)
-  t.skip <- t.skip - 1;
+  s.countdown <- s.countdown - 1;
   (* never watch device memory: MMIO registers are volatile by nature and
      re-reading them has side effects (like the kernel skipping ioremap) *)
-  if t.skip <= 0 && Shadow.covers t.shadow addr then begin
+  if s.countdown <= 0 && Shadow.covers t.shadow addr then begin
     (* jittered interval: a fixed stride aliases with guest loop periods and
        keeps sampling the same access site, like real KCSAN's
        prandom-perturbed skip count avoids *)
@@ -149,22 +156,22 @@ let on_access t machine ~addr ~size ~is_write ~pc ~hart =
     let x = x lxor (x lsr 17) in
     let x = x lxor (x lsl 5) land 0x3FFFFFFF in
     t.rng <- x;
-    t.skip <- 1 + (t.interval / 2) + (x mod t.interval);
+    s.countdown <- 1 + (t.interval / 2) + (x mod t.interval);
     if t.watch = None && t.pending_close = None then begin
       let before = read_watched machine ~addr ~size in
-      t.watch <-
-        Some
-          {
-            w_addr = addr;
-            w_size = size;
-            w_write = is_write;
-            w_hart = hart;
-            w_pc = pc;
-            w_before = before;
-            w_conflict = None;
-          };
+      set_watch t
+        (Some
+           {
+             w_addr = addr;
+             w_size = size;
+             w_write = is_write;
+             w_hart = hart;
+             w_pc = pc;
+             w_before = before;
+             w_conflict = None;
+           })
+        (Some (hart, pc));
       t.watchpoints_set <- t.watchpoints_set + 1;
-      t.pending_close <- Some (hart, pc);
       let cpu = machine.Embsan_emu.Machine.harts.(hart) in
       cpu.Embsan_emu.Cpu.stall_until <-
         machine.Embsan_emu.Machine.total_insns + t.stall_insns;
@@ -178,30 +185,35 @@ module Plugin = struct
   let name = "kcsan"
   let points = [ Api_spec.P_load; Api_spec.P_store ]
 
-  type nonrec t = { k : t; machine : Embsan_emu.Machine.t; check_cost : int }
+  type nonrec t = { k : t; machine : Embsan_emu.Machine.t }
 
   let create (ctx : Sanitizer.ctx) =
     let interval = Sanitizer.tuned ctx "kcsan.interval" ~default:120 in
     let stall_insns = Sanitizer.tuned ctx "kcsan.stall" ~default:1200 in
+    (* host-side race-check work is dearer on the D path (it rides the
+       probe machinery); bake the mode into the compiled handler *)
+    let check_cost =
+      match ctx.mode with
+      | `C -> Embsan_emu.Cost_model.kcsan_host_check_c
+      | `D -> Embsan_emu.Cost_model.kcsan_host_check_d
+    in
     {
       k =
-        create ~interval ~stall_insns ~shadow:ctx.shadow ~sink:ctx.sink
-          ~symbolize:ctx.symbolize ();
+        create ~interval ~stall_insns ~check_cost ~shadow:ctx.shadow
+          ~sink:ctx.sink ~symbolize:ctx.symbolize ();
       machine = ctx.machine;
-      (* host-side race-check work is dearer on the D path (it rides the
-         probe machinery); bake the mode into the compiled handler *)
-      check_cost =
-        (match ctx.mode with
-        | `C -> Embsan_emu.Cost_model.kcsan_host_check_c
-        | `D -> Embsan_emu.Cost_model.kcsan_host_check_d);
     }
 
   (* marked (atomic) accesses are never data races by definition *)
   let access p ~pc ~addr ~size ~is_write ~is_atomic ~hart =
     if not is_atomic then begin
-      Embsan_emu.Machine.add_external_cost p.machine p.check_cost;
+      Embsan_emu.Machine.add_external_cost p.machine p.k.sampler.cost;
       on_access p.k p.machine ~addr ~size ~is_write ~pc ~hart
     end
+
+  (* with no watch open and the countdown not firing, [on_access] only
+     counts the access and steps the countdown *)
+  let quiet p = Sanitizer.Sampled p.k.sampler
 
   let event _ _ = ()
   let scan _ ~now:_ = 0
@@ -212,7 +224,7 @@ module Plugin = struct
 
   let stats p =
     [
-      ("access_events", p.k.access_events);
+      ("access_events", p.k.sampler.seen);
       ("watchpoints_set", p.k.watchpoints_set);
       ("races", p.k.races);
     ]

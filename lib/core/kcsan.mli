@@ -20,11 +20,14 @@ type t = {
   shadow : Shadow.t;
   interval : int;
   stall_insns : int;
-  mutable skip : int;
+  sampler : Sanitizer.sampler;
+      (** sampling countdown, access counter ([seen]) and [armed] flag
+          ([watch] or [pending_close] set), read and stepped by the
+          runtime's inline quiet test; [cost] is the plugin's per-access
+          host-side check cost *)
   mutable rng : int;
   mutable watch : watchpoint option;
   mutable pending_close : (int * int) option;
-  mutable access_events : int;
   mutable watchpoints_set : int;
   mutable races : int;
 }
@@ -32,6 +35,7 @@ type t = {
 val create :
   ?interval:int ->
   ?stall_insns:int ->
+  ?check_cost:int ->
   shadow:Shadow.t ->
   sink:Report.sink ->
   symbolize:(int -> string option) ->

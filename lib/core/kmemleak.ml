@@ -113,6 +113,7 @@ module Plugin = struct
 
   (* never planned at P_load/P_store *)
   let access _ ~pc:_ ~addr:_ ~size:_ ~is_write:_ ~is_atomic:_ ~hart:_ = ()
+  let quiet _ = Sanitizer.Loud
 
   let event t = function
     | Sanitizer.Alloc { ptr; size; pc; now } -> on_alloc t ~ptr ~size ~pc ~now

@@ -298,34 +298,32 @@ let probe_binary ?(ram_base = 0x0001_0000) ?(ram_size = 4 * 1024 * 1024)
   (* (hart, return addr, record); head = innermost *)
   let entry_set = Hashtbl.create 64 in
   List.iter (fun a -> Hashtbl.replace entry_set a ()) entries;
-  Probe.on_call m.probes (fun ev ->
-      if Hashtbl.mem entry_set ev.c_target && List.length !records < 100_000
+  Probe.on_call m.probes (fun ~hart ~pc ~target ->
+      if Hashtbl.mem entry_set target && List.length !records < 100_000
       then begin
         let parent =
           List.find_map
-            (fun (h, _, r) -> if h = ev.c_hart then Some r.cr_target else None)
+            (fun (h, _, r) -> if h = hart then Some r.cr_target else None)
             !pending
         in
         let r =
           {
-            cr_target = ev.c_target;
-            cr_arg0 = Cpu.get m.harts.(ev.c_hart) Reg.a0;
+            cr_target = target;
+            cr_arg0 = Cpu.get m.harts.(hart) Reg.a0;
             cr_parent = parent;
             cr_retval = None;
           }
         in
         records := r :: !records;
-        pending := (ev.c_hart, ev.c_pc + Insn.size, r) :: !pending
+        pending := (hart, pc + Insn.size, r) :: !pending
       end);
-  Probe.on_ret m.probes (fun ev ->
+  Probe.on_ret m.probes (fun ~hart ~pc:_ ~target ~retval ->
       match
-        List.partition
-          (fun (h, ra, _) -> h = ev.r_hart && ra = ev.r_target)
-          !pending
+        List.partition (fun (h, ra, _) -> h = hart && ra = target) !pending
       with
       | (_, _, r) :: _, rest ->
           pending := rest;
-          r.cr_retval <- Some ev.r_retval
+          r.cr_retval <- Some retval
       | [], _ -> ());
   (match Machine.run_until_ready m ~max_insns:boot_budget with
   | None -> ()

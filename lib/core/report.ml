@@ -68,8 +68,9 @@ type sink = {
 let create_sink ?(limit = 10_000) () =
   { reports = []; seen = Hashtbl.create 64; limit }
 
-(** Add a report; returns [true] if it is a new (non-duplicate) bug. *)
-let add sink r =
+(** Add a report whose [detail] is computed only if it is a new bug (the
+    dedup key does not depend on it); returns [true] for a new bug. *)
+let add_lazy sink r ~detail =
   let key = dedup_key r in
   match Hashtbl.find_opt sink.seen key with
   | Some n ->
@@ -78,8 +79,11 @@ let add sink r =
   | None ->
       Hashtbl.replace sink.seen key 1;
       if List.length sink.reports < sink.limit then
-        sink.reports <- r :: sink.reports;
+        sink.reports <- { r with detail = detail () } :: sink.reports;
       true
+
+(** Add a report; returns [true] if it is a new (non-duplicate) bug. *)
+let add sink r = add_lazy sink r ~detail:(fun () -> r.detail)
 
 let unique_reports sink = List.rev sink.reports
 let count sink = Hashtbl.length sink.seen

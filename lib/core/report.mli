@@ -47,6 +47,11 @@ val create_sink : ?limit:int -> unit -> sink
 (** Add a report; returns [true] iff it is a new (non-duplicate) bug. *)
 val add : sink -> t -> bool
 
+(** [add_lazy sink r ~detail] is [add sink { r with detail = detail () }],
+    but calls [detail] only when [r] is a new bug (the dedup key does not
+    depend on the detail). *)
+val add_lazy : sink -> t -> detail:(unit -> string) -> bool
+
 (** Unique reports in arrival order. *)
 val unique_reports : sink -> t list
 

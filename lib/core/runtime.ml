@@ -71,18 +71,20 @@ let pending_push p ~hart ~ra ~size =
   end
 
 (* Top-down match of a return address; frames above the match never
-   returned and are abandoned with it. *)
+   returned and are abandoned with it.  Returns the frame's requested size
+   (a 32-bit register value, so never negative), or -1 when no frame
+   matches: every guest return asks, so the answer is not boxed. *)
 let pending_pop p ~hart ~ra =
   let base = hart * pending_cap in
-  let rec go i =
-    if i < 0 then None
-    else if p.p_ret.(base + i) = ra then begin
-      p.p_depth.(hart) <- i;
-      Some p.p_size.(base + i)
-    end
-    else go (i - 1)
-  in
-  go (p.p_depth.(hart) - 1)
+  let i = ref (p.p_depth.(hart) - 1) in
+  while !i >= 0 && p.p_ret.(base + !i) <> ra do
+    decr i
+  done;
+  if !i < 0 then -1
+  else begin
+    p.p_depth.(hart) <- !i;
+    p.p_size.(base + !i)
+  end
 
 let pending_depth_of p ~hart = p.p_depth.(hart)
 
@@ -109,10 +111,12 @@ type t = {
   sink : Report.sink;
   shadow : Shadow.t;
   instances : Sanitizer.instance array; (* spec.sanitizers order *)
-  (* compiled dispatch plans: one flat closure array per interception
-     point, fixed at attach time *)
-  load_plan : Sanitizer.access_fn array;
-  store_plan : Sanitizer.access_fn array;
+  (* compiled dispatch plans, fixed at attach time: the load and store
+     plans each compiled with their plugins' quiet tests into one function
+     (see [compile_access]), the event plans one flat closure array per
+     interception point *)
+  load_access : Sanitizer.access_fn;
+  store_access : Sanitizer.access_fn;
   alloc_plan : (Sanitizer.event -> unit) array;
   free_plan : (Sanitizer.event -> unit) array;
   global_plan : (Sanitizer.event -> unit) array;
@@ -170,6 +174,70 @@ let pc_exempt t pc =
 
 let charge t units = Machine.add_external_cost t.machine units
 
+(* --- Access dispatch ---------------------------------------------------------- *)
+
+(* Compile one access plan into one function.  If every plugin in the plan
+   declares a quiet test -- at most one shadow test and one sampler, which
+   covers every built-in plan -- the function first evaluates them inline
+   on the plugins' own state, and on a quiet access makes exactly the
+   counter bumps and cost charges the plan would have made, without calling
+   any plugin.  Otherwise, or when a test fails, it runs the plan loop
+   unchanged.  The tests only read, so a failed test leaves nothing for the
+   plan loop to double-count. *)
+let compile_access machine (plan : Sanitizer.access_fn array)
+    (quiets : Sanitizer.quiet array) : Sanitizer.access_fn =
+  let run_plan ~pc ~addr ~size ~is_write ~is_atomic ~hart =
+    for i = 0 to Array.length plan - 1 do
+      (Array.unsafe_get plan i) ~pc ~addr ~size ~is_write ~is_atomic ~hart
+    done
+  in
+  let quiets = Array.to_list quiets in
+  let shadows =
+    List.filter_map
+      (function
+        | Sanitizer.Shadow_clear { shadow; above; checks } ->
+            Some (shadow, above, checks)
+        | Loud | Sampled _ -> None)
+      quiets
+  and samplers =
+    List.filter_map
+      (function Sanitizer.Sampled s -> Some s | Loud | Shadow_clear _ -> None)
+      quiets
+  in
+  let sampled_quiet (s : Sanitizer.sampler) = (not s.armed) && s.countdown > 1 in
+  let sample (s : Sanitizer.sampler) =
+    s.countdown <- s.countdown - 1;
+    s.seen <- s.seen + 1;
+    Machine.add_external_cost machine s.cost
+  in
+  let all_quiet =
+    List.for_all (function Sanitizer.Loud -> false | _ -> true) quiets
+  in
+  if not all_quiet then run_plan
+  else
+    match (shadows, samplers) with
+    | [ (sh, above, (checks : Sanitizer.tally)) ], [] ->
+        fun ~pc ~addr ~size ~is_write ~is_atomic ~hart ->
+          if addr >= above && Shadow.clear sh ~addr ~size then
+            checks.count <- checks.count + 1
+          else run_plan ~pc ~addr ~size ~is_write ~is_atomic ~hart
+    | [], [ s ] ->
+        fun ~pc ~addr ~size ~is_write ~is_atomic ~hart ->
+          if is_atomic then ()
+          else if sampled_quiet s then sample s
+          else run_plan ~pc ~addr ~size ~is_write ~is_atomic ~hart
+    | [ (sh, above, (checks : Sanitizer.tally)) ], [ s ] ->
+        fun ~pc ~addr ~size ~is_write ~is_atomic ~hart ->
+          if
+            addr >= above && Shadow.clear sh ~addr ~size
+            && (is_atomic || sampled_quiet s)
+          then begin
+            checks.count <- checks.count + 1;
+            if not is_atomic then sample s
+          end
+          else run_plan ~pc ~addr ~size ~is_write ~is_atomic ~hart
+    | _ -> run_plan
+
 (* --- Event dispatch ----------------------------------------------------------- *)
 
 let run_event_plan plan ev = Array.iter (fun f -> f ev) plan
@@ -185,12 +253,9 @@ let dispatch_access t ~pc ~addr ~size ~is_write ~is_atomic ~hart =
   if t.active then begin
     t.mem_events <- t.mem_events + 1;
     charge t t.event_units;
-    if not (pc_exempt t pc) then begin
-      let plan = if is_write then t.store_plan else t.load_plan in
-      for i = 0 to Array.length plan - 1 do
-        (Array.unsafe_get plan i) ~pc ~addr ~size ~is_write ~is_atomic ~hart
-      done
-    end
+    if not (pc_exempt t pc) then
+      if is_write then t.store_access ~pc ~addr ~size ~is_write ~is_atomic ~hart
+      else t.load_access ~pc ~addr ~size ~is_write ~is_atomic ~hart
   end
 
 (* --- Init routine ------------------------------------------------------------- *)
@@ -227,56 +292,71 @@ let on_ready t () =
 
 let install_mem_probes t =
   let s =
-    Probe.subscribe_mem t.machine.probes (fun (ev : Probe.mem_event) ->
-        if t.ready then
-          dispatch_access t ~pc:ev.pc ~addr:ev.addr ~size:ev.size
-            ~is_write:ev.is_write ~is_atomic:ev.is_atomic ~hart:ev.hart)
+    Probe.subscribe_mem t.machine.probes
+      (fun ~hart ~pc ~addr ~size ~is_write ~is_atomic ~value:_ ->
+        if t.ready then dispatch_access t ~pc ~addr ~size ~is_write ~is_atomic ~hart)
   in
   t.subs <- t.subs @ [ s ]
 
+(* Index of [x] in the sorted array [a], or -1. *)
+let find_sorted (a : int array) x =
+  let lo = ref 0 and hi = ref (Array.length a - 1) and found = ref (-1) in
+  while !found < 0 && !lo <= !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let v = Array.unsafe_get a mid in
+    if v = x then found := mid else if v < x then lo := mid + 1 else hi := mid - 1
+  done;
+  !found
+
 let install_call_interception t =
-  let allocs = Hashtbl.create 16 and frees = Hashtbl.create 16 in
+  (* one signature per entry point: the last one listed, except that an
+     allocator signature beats a free signature *)
+  let kinds = Hashtbl.create 16 in
   List.iter
     (fun (f : Dsl.func_sig) ->
-      match f.f_kind with
-      | `Alloc size_arg -> Hashtbl.replace allocs f.f_addr size_arg
-      | `Free ptr_arg -> Hashtbl.replace frees f.f_addr ptr_arg)
+      match (f.f_kind, Hashtbl.find_opt kinds f.f_addr) with
+      | `Free _, Some (`Alloc _) -> ()
+      | k, _ -> Hashtbl.replace kinds f.f_addr k)
     t.spec.Dsl.functions;
-  if Hashtbl.length allocs > 0 || Hashtbl.length frees > 0 then begin
+  (* every guest call is looked up, so the lookup is a binary search over
+     the entry points sorted by address, which allocates nothing *)
+  let fns =
+    List.sort (fun (a, _) (b, _) -> compare a b)
+      (Hashtbl.fold (fun a k acc -> (a, k) :: acc) kinds [])
+  in
+  if fns <> [] then begin
+    let fn_addr = Array.of_list (List.map fst fns) in
+    let fn_kind = Array.of_list (List.map snd fns) in
     let sc =
-      Probe.subscribe_call t.machine.probes (fun (ev : Probe.call_event) ->
-        match Hashtbl.find_opt allocs ev.c_target with
-        | Some size_arg ->
-            t.intercepted_calls <- t.intercepted_calls + 1;
-            charge t Cost_model.embsan_d_probe;
-            let size = Cpu.get t.machine.harts.(ev.c_hart) Reg.args.(size_arg) in
-            pending_push t.pending ~hart:ev.c_hart ~ra:(ev.c_pc + Insn.size)
-              ~size
-        | None -> (
-            match Hashtbl.find_opt frees ev.c_target with
-            | Some ptr_arg ->
-                t.intercepted_calls <- t.intercepted_calls + 1;
-                charge t Cost_model.embsan_d_probe;
-                let ptr = Cpu.get t.machine.harts.(ev.c_hart) Reg.args.(ptr_arg) in
-                run_event_plan t.free_plan
-                  (Sanitizer.Free { ptr; pc = ev.c_pc; hart = ev.c_hart })
-            | None -> ()))
+      Probe.subscribe_call t.machine.probes (fun ~hart ~pc ~target ->
+        let i = find_sorted fn_addr target in
+        if i >= 0 then begin
+          t.intercepted_calls <- t.intercepted_calls + 1;
+          charge t Cost_model.embsan_d_probe;
+          let cpu = t.machine.harts.(hart) in
+          match fn_kind.(i) with
+          | `Alloc size_arg ->
+              pending_push t.pending ~hart ~ra:(pc + Insn.size)
+                ~size:(Cpu.get cpu Reg.args.(size_arg))
+          | `Free ptr_arg ->
+              run_event_plan t.free_plan
+                (Sanitizer.Free { ptr = Cpu.get cpu Reg.args.(ptr_arg); pc; hart })
+        end)
     in
     let sr =
-      Probe.subscribe_ret t.machine.probes (fun (ev : Probe.ret_event) ->
-        match pending_pop t.pending ~hart:ev.r_hart ~ra:ev.r_target with
-        | Some size ->
-            (* attribute the allocation to its call site, not to the
-               allocator's return instruction *)
-            run_event_plan t.alloc_plan
-              (Sanitizer.Alloc
-                 {
-                   ptr = ev.r_retval;
-                   size;
-                   pc = ev.r_target - Insn.size;
-                   now = t.machine.total_insns;
-                 })
-        | None -> ())
+      Probe.subscribe_ret t.machine.probes (fun ~hart ~pc:_ ~target ~retval ->
+        let size = pending_pop t.pending ~hart ~ra:target in
+        if size >= 0 then
+          (* attribute the allocation to its call site, not to the
+             allocator's return instruction *)
+          run_event_plan t.alloc_plan
+            (Sanitizer.Alloc
+               {
+                 ptr = retval;
+                 size;
+                 pc = target - Insn.size;
+                 now = t.machine.total_insns;
+               }))
     in
     t.subs <- t.subs @ [ sc; sr ]
   end
@@ -285,15 +365,13 @@ let install_callout_traps t =
   let m = t.machine in
   List.iter
     (fun num ->
+      let is_write, size = Option.get (Hypercall.decode_check num) in
       Machine.set_trap_handler m num (fun _m cpu ->
           t.callouts <- t.callouts + 1;
-          match Hypercall.decode_check num with
-          | Some (is_write, size) ->
-              dispatch_access t
-                ~pc:(cpu.Cpu.pc - Insn.size)
-                ~addr:(Cpu.get cpu Reg.a0)
-                ~size ~is_write ~is_atomic:false ~hart:cpu.Cpu.id
-          | None -> assert false))
+          dispatch_access t
+            ~pc:(cpu.Cpu.pc - Insn.size)
+            ~addr:(Cpu.get cpu Reg.a0)
+            ~size ~is_write ~is_atomic:false ~hart:cpu.Cpu.id))
     [ 16; 17; 18; 19; 20; 21 ];
   let update num f =
     Machine.set_trap_handler m num (fun _m cpu ->
@@ -412,6 +490,10 @@ let attach ~spec ~mode ?image ?(sink = Report.create_sink ()) ?(tuning = [])
   let access_plan point =
     Array.of_list (List.map Sanitizer.access (planned point))
   in
+  let compiled point =
+    compile_access machine (access_plan point)
+      (Array.of_list (List.map Sanitizer.quiet (planned point)))
+  in
   let event_plan point =
     Array.of_list (List.map (fun i -> Sanitizer.event i) (planned point))
   in
@@ -445,8 +527,8 @@ let attach ~spec ~mode ?image ?(sink = Report.create_sink ()) ?(tuning = [])
       sink;
       shadow;
       instances;
-      load_plan = access_plan Api_spec.P_load;
-      store_plan = access_plan Api_spec.P_store;
+      load_access = compiled Api_spec.P_load;
+      store_access = compiled Api_spec.P_store;
       alloc_plan = event_plan Api_spec.P_func_alloc;
       free_plan = event_plan Api_spec.P_func_free;
       global_plan = event_plan Api_spec.P_global_register;

@@ -28,8 +28,12 @@ type t = {
   sink : Report.sink;
   shadow : Shadow.t;
   instances : Sanitizer.instance array;  (** spec.sanitizers order *)
-  load_plan : Sanitizer.access_fn array;
-  store_plan : Sanitizer.access_fn array;
+  load_access : Sanitizer.access_fn;
+      (** the load plan compiled into one function: when every plugin in
+          it declares a quiet test ({!Sanitizer.quiet}) and all pass, the
+          plan's counter bumps and cost charges without a plugin call;
+          otherwise the plan's handlers in order *)
+  store_access : Sanitizer.access_fn;
   alloc_plan : (Sanitizer.event -> unit) array;
   free_plan : (Sanitizer.event -> unit) array;
   global_plan : (Sanitizer.event -> unit) array;
@@ -49,6 +53,20 @@ type t = {
   mutable callouts : int;
   mutable intercepted_calls : int;
 }
+
+(** Deliver one memory access, as both backends do: unless delivery is
+    paused ({!set_enabled}), count it in [mem_events], charge the mode's
+    per-event cost and, unless [pc] is exempt ({!pc_exempt}), run the
+    store or load access function. *)
+val dispatch_access :
+  t ->
+  pc:int ->
+  addr:int ->
+  size:int ->
+  is_write:bool ->
+  is_atomic:bool ->
+  hart:int ->
+  unit
 
 (** Is [pc] inside an intercepted allocator function or an exempt helper
     (legal metadata traffic)?  Binary search over the sorted merged

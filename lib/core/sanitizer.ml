@@ -49,6 +49,28 @@ type access_fn =
   hart:int ->
   unit
 
+(* --- Quiet tests -------------------------------------------------------------- *)
+
+(* Most accesses need no callout: the shadow says "valid", no watchpoint
+   is open, the sampling countdown does not fire.  A plugin declares, as
+   data, when that is so (the exact rules are in sanitizer.mli), and
+   [Runtime.compile_access] tests it inline before calling anything.  The
+   records are the plugin instance's own state. *)
+
+type tally = { mutable count : int }
+
+type sampler = {
+  mutable countdown : int;
+  mutable armed : bool;
+  mutable seen : int;
+  cost : int;
+}
+
+type quiet =
+  | Loud
+  | Shadow_clear of { shadow : Shadow.t; above : int; checks : tally }
+  | Sampled of sampler
+
 (* --- Plugin interface -------------------------------------------------------- *)
 
 type mode = [ `C | `D ]
@@ -82,6 +104,10 @@ module type S = sig
       once at plan-compile time; only meaningful when [points] contains
       P_load or P_store. *)
 
+  val quiet : t -> quiet
+  (** When [access] needs not be called (see {!quiet}); [Loud] if
+      always. *)
+
   val event : t -> event -> unit
   (** Cold-path handler: plan-routed alloc/free/global/stack events plus
       broadcast state maintenance (poison/unpoison/ready).  Plugins ignore
@@ -111,6 +137,7 @@ let instantiate (module P : S) ctx = Instance ((module P), P.create ctx)
 let instance_name (Instance ((module P), _)) = P.name
 let instance_points (Instance ((module P), _)) = P.points
 let access (Instance ((module P), x)) = P.access x
+let quiet (Instance ((module P), x)) = P.quiet x
 let event (Instance ((module P), x)) ev = P.event x ev
 let scan (Instance ((module P), x)) ~now = P.scan x ~now
 let checkpoint (Instance ((module P), x)) = P.checkpoint x

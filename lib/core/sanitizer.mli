@@ -31,6 +31,34 @@ type access_fn =
   hart:int ->
   unit
 
+(** {2 Quiet tests}
+
+    Most accesses need no callout.  A plugin declares, as data, when that
+    is so, and the runtime tests it inline before calling anything.  A
+    quiet access must have exactly the effect the runtime reproduces for
+    it: the counter bumps and cost charges named here, nothing else.  The
+    records are the plugin instance's own state. *)
+
+type tally = { mutable count : int }
+
+type sampler = {
+  mutable countdown : int;  (** the sample fires when it reaches 0 *)
+  mutable armed : bool;  (** a watch is open: every access must be seen *)
+  mutable seen : int;  (** non-atomic accesses seen *)
+  cost : int;  (** external cost units charged per non-atomic access *)
+}
+
+type quiet =
+  | Loud  (** no quiet test: every access runs the plugin's handler *)
+  | Shadow_clear of { shadow : Shadow.t; above : int; checks : tally }
+      (** quiet when the access lies inside [shadow]'s guest RAM at or
+          above [above] and every granule it touches is 0; it bumps
+          [checks] *)
+  | Sampled of sampler
+      (** atomics are quiet and touch nothing; a plain access is quiet
+          when not [armed] and [countdown > 1], and it decrements
+          [countdown], bumps [seen] and charges [cost] *)
+
 type mode = [ `C | `D ]
 
 (** Everything a plugin may need at creation time.  [shadow] is the
@@ -63,6 +91,10 @@ module type S = sig
   (** Hot-path handler; evaluated once at plan-compile time.  Only
       meaningful when [points] includes P_load or P_store. *)
 
+  val quiet : t -> quiet
+  (** When [access] needs not be called; [Loud] if always.  Evaluated
+      once at plan-compile time. *)
+
   val event : t -> event -> unit
   (** Cold-path handler; plugins ignore events they do not care about. *)
 
@@ -88,6 +120,7 @@ val instantiate : plugin -> ctx -> instance
 val instance_name : instance -> string
 val instance_points : instance -> Api_spec.point list
 val access : instance -> access_fn
+val quiet : instance -> quiet
 val event : instance -> event -> unit
 val scan : instance -> now:int -> int
 val checkpoint : instance -> unit -> unit

@@ -118,6 +118,16 @@ let check t ~addr ~size =
     else Invalid (code_of_byte sh)
   end
 
+(** Is the access of [size] (1..8) bytes at [addr] inside guest RAM, with
+    every granule it touches 0?  An access of at most one granule touches
+    at most two, its first and its last.  The inline quiet test of the
+    runtime: no allocation, no exception. *)
+let clear t ~addr ~size =
+  size >= 1 && size <= granule && addr >= t.base && addr + size <= t.limit
+  (* [lsr 3] is [index] for the addresses the bounds check let through *)
+  && Bytes.unsafe_get t.kasan ((addr - t.base) lsr 3) = '\000'
+  && Bytes.unsafe_get t.kasan ((addr + size - 1 - t.base) lsr 3) = '\000'
+
 (* --- Snapshot support --------------------------------------------------------- *)
 
 type state = { s_kasan : Bytes.t }

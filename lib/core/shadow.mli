@@ -55,6 +55,11 @@ type verdict = Valid | Invalid of code
     guest RAM are [Valid] (MMIO and fault logic own them). *)
 val check : t -> addr:int -> size:int -> verdict
 
+(** Is an access of [size] (1..8) bytes at [addr] inside guest RAM with
+    every granule it touches 0?  [false] for any other size.  Allocation-
+    and exception-free: the runtime's inline quiet test. *)
+val clear : t -> addr:int -> size:int -> bool
+
 (** Snapshot of the shadow (deep copy); a saved [state] is immune
     to later mutation of the live shadow and survives repeated restores. *)
 type state

@@ -66,6 +66,7 @@ module Plugin = struct
   let access t ~pc ~addr ~size ~is_write ~is_atomic:_ ~hart =
     on_access t ~addr ~size ~is_write ~pc ~hart
 
+  let quiet _ = Sanitizer.Loud
   let event _ _ = ()
   let scan _ ~now:_ = 0
 

@@ -65,8 +65,7 @@ let record t ~hart ~pc =
   t.blocks_seen <- t.blocks_seen + 1
 
 let attach_tcg t (m : Machine.t) =
-  Probe.on_block m.probes (fun (ev : Probe.block_event) ->
-      record t ~hart:ev.b_hart ~pc:ev.b_pc)
+  Probe.on_block m.probes (fun ~hart ~pc -> record t ~hart ~pc)
 
 (** Hypercall number reserved for guest kcov reporting. *)
 let kcov_trap = 9

@@ -76,11 +76,16 @@ type request = { nr : int; args : int array (* length 6 *) }
 
 type completion = { c_nr : int; ret : int }
 
+(* The mailbox keeps only the most recent completions: a long campaign
+   without restores serves one request per syscall, and every snapshot
+   marshals the log. *)
+let completions_kept = 64
+
 type mailbox = {
   queue : request Queue.t;
   mutable current : request option;
   mutable last_ret : int;
-  mutable completions : completion list; (* most recent first *)
+  completions : completion Queue.t; (* oldest first, at most [completions_kept] *)
   mutable ready : bool;
   mutable on_ready : unit -> unit;
   mutable on_complete : completion -> unit;
@@ -93,7 +98,7 @@ type mailbox_state = {
   s_queue : (int * int array) list; (* front first *)
   s_current : (int * int array) option;
   s_last_ret : int;
-  s_completions : completion list;
+  s_completions : completion list; (* oldest first *)
   s_ready : bool;
 }
 
@@ -103,7 +108,7 @@ let mailbox () =
       queue = Queue.create ();
       current = None;
       last_ret = 0;
-      completions = [];
+      completions = Queue.create ();
       ready = false;
       on_ready = ignore;
       on_complete = ignore;
@@ -130,7 +135,9 @@ let mailbox () =
         (match state.current with
         | Some r ->
             let c = { c_nr = r.nr; ret = state.last_ret } in
-            state.completions <- c :: state.completions;
+            Queue.push c state.completions;
+            if Queue.length state.completions > completions_kept then
+              ignore (Queue.pop state.completions : completion);
             state.current <- None;
             state.on_complete c
         | None -> ())
@@ -149,7 +156,7 @@ let mailbox () =
                   |> List.rev;
         s_current = Option.map flatten state.current;
         s_last_ret = state.last_ret;
-        s_completions = state.completions;
+        s_completions = List.of_seq (Queue.to_seq state.completions);
         s_ready = state.ready;
       }
     in
@@ -161,7 +168,8 @@ let mailbox () =
     List.iter (fun r -> Queue.push (unflatten r) state.queue) s.s_queue;
     state.current <- Option.map unflatten s.s_current;
     state.last_ret <- s.s_last_ret;
-    state.completions <- s.s_completions;
+    Queue.clear state.completions;
+    List.iter (fun c -> Queue.push c state.completions) s.s_completions;
     state.ready <- s.s_ready
   in
   ( state,
@@ -176,8 +184,9 @@ let mailbox_push m ~nr ~args =
 
 let mailbox_ready m = m.ready
 let mailbox_idle m = m.current = None && Queue.is_empty m.queue
-let mailbox_completions m = List.rev m.completions
-let mailbox_clear_completions m = m.completions <- []
+(* the most recent [completions_kept] completions, oldest first *)
+let mailbox_completions m = List.of_seq (Queue.to_seq m.completions)
+let mailbox_clear_completions m = Queue.clear m.completions
 
 (* --- Timer ---------------------------------------------------------------- *)
 

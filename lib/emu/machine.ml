@@ -98,7 +98,7 @@ type t = {
   probes : Probe.t;
   cmplog : Cmplog.t;
   block_cache : (int, block) Hashtbl.t;
-  trap_handlers : (int, handler) Hashtbl.t;
+  trap_cells : (int, trap_cell) Hashtbl.t;
   stats : Engine_stats.t;
   mutable engine : engine;
   mutable tcg_gen : int; (* bumped by flush_tcg; invalidates chain links *)
@@ -114,6 +114,13 @@ type t = {
 }
 
 and handler = t -> Cpu.t -> unit
+
+(* One cell per trap number, created the first time a handler is set or a
+   [Trap] op is translated for it, and never removed.  A translated [Trap]
+   op holds its cell, so dispatch is one field load (no hashing, no boxed
+   lookup result), and setting or removing a handler mutates the cell:
+   already-translated code sees the change without a flush. *)
+and trap_cell = { mutable trap : handler option }
 
 (* External hart scheduler: pick the next hart to run and the absolute
    [total_insns] deadline of its turn, or [None] when no hart is runnable
@@ -156,7 +163,7 @@ let create ?(harts = 2) ?(ram_base = 0x0001_0000) ?(ram_size = 4 * 1024 * 1024)
         probes = Probe.create ();
         cmplog = Cmplog.create ();
         block_cache = Hashtbl.create 1024;
-        trap_handlers = Hashtbl.create 16;
+        trap_cells = Hashtbl.create 16;
         stats = Engine_stats.create ();
         engine = Fast;
         tcg_gen = 0;
@@ -213,9 +220,25 @@ let set_cmplog t on = t.cmplog.Cmplog.enabled <- on
    oracle pins for the other knobs). *)
 let set_rehost t rh = t.rehost <- rh
 
-let set_trap_handler t num handler = Hashtbl.replace t.trap_handlers num handler
+let trap_cell t num =
+  match Hashtbl.find_opt t.trap_cells num with
+  | Some c -> c
+  | None ->
+      let c = { trap = None } in
+      Hashtbl.add t.trap_cells num c;
+      c
 
-let remove_trap_handler t num = Hashtbl.remove t.trap_handlers num
+let set_trap_handler t num handler = (trap_cell t num).trap <- Some handler
+
+let remove_trap_handler t num =
+  match Hashtbl.find_opt t.trap_cells num with
+  | Some c -> c.trap <- None
+  | None -> ()
+
+let has_trap_handler t num =
+  match Hashtbl.find_opt t.trap_cells num with
+  | Some { trap = Some _ } -> true
+  | Some { trap = None } | None -> false
 
 (** Add host-side sanitizer cost units (see {!Cost_model}). *)
 let add_external_cost t units = t.external_cost <- t.external_cost + units
@@ -307,6 +330,21 @@ let rewound t ~over f =
         t.total_insns <- t.total_insns + over;
         raise e
   end
+
+(* An armed mem site fires its subscribers with the pre-charge rewound
+   the same way, restored on exception too (a probe may raise [Retry_at]),
+   but without [rewound]'s closure: delivering an event allocates nothing.
+   The op then runs its unprobed fast path. *)
+let fire_mem_rewound t ~over ~hart ~pc ~addr ~size ~is_write ~is_atomic
+    ~value =
+  t.total_insns <- t.total_insns - over;
+  match
+    Probe.fire_mem t.probes ~hart ~pc ~addr ~size ~is_write ~is_atomic ~value
+  with
+  | () -> t.total_insns <- t.total_insns + over
+  | exception e ->
+      t.total_insns <- t.total_insns + over;
+      raise e
 
 (* MMIO/fault slow paths for the translated fast-path templates: the
    {!Fault.access} record is only allocated here, after the RAM bounds
@@ -409,11 +447,11 @@ let collect_block t base =
    Instrumentation points compile to *patchable sites*: each op that can
    be instrumented captures the machine's shared probe/cmplog/dirty state
    records and checks the armed condition (one field load and branch) at
-   run time, dispatching to a probed or an uninstrumented closure both
-   built here.  Toggling a probe therefore patches every translated block
-   at once, with zero flushes; the unarmed path still bounds-checks
-   straight into RAM bytes with no callback and no allocation, exactly
-   like an uninstrumented TCG template.  Ops do not touch the
+   run time; an armed memory op fires its subscribers and then runs the
+   same uninstrumented body.  Toggling a probe therefore patches every
+   translated block at once, with zero flushes; the memory body
+   bounds-checks straight into RAM bytes with no callback and no
+   allocation, exactly like an uninstrumented TCG template.  Ops do not touch the
    retired-insn/cost counters; those are charged per-block by the run
    loop. *)
 let translate_fast t base =
@@ -534,25 +572,6 @@ let translate_fast t base =
     | Load (w, signed, rd, rs1, imm) ->
         let size = Insn.width_bytes w in
         let over = n_insns - 1 - idx in
-        (* probed path, taken when the mem site is armed at run time *)
-        let probed cpu =
-          rewound t ~over (fun () ->
-              let addr = Word32.add (Cpu.get cpu rs1) imm in
-              Probe.fire_mem p
-                {
-                  hart = cpu.id;
-                  pc;
-                  addr;
-                  size;
-                  is_write = false;
-                  is_atomic = false;
-                  value = 0;
-                };
-              let raw =
-                bus_read t { hart = cpu.id; pc; addr; size; is_write = false }
-              in
-              Cpu.set cpu rd (load_result w signed raw))
-        in
         (* allocation-free fast path, width-specialized at translate time *)
         let d = ri rd and a = ri rs1 in
         let set (r : int array) v = if d <> 0 then Array.unsafe_set r d v in
@@ -591,30 +610,18 @@ let translate_fast t base =
                 in
                 set r (if signed then Word32.sext raw 8 else raw land 0xFF)
         in
-        (* the patchable site: one subscriber-array load and branch *)
+        (* the patchable site: one subscriber-array load and branch; an
+           armed site fires its subscribers, then runs the same fast path
+           (so MMIO still reaches [slow_read] with [~over]) *)
         fun cpu ->
-          if Array.length p.Probe.mem = 0 then fast cpu else probed cpu
+          if Array.length p.Probe.mem <> 0 then
+            fire_mem_rewound t ~over ~hart:cpu.id ~pc
+              ~addr:((Array.unsafe_get cpu.Cpu.regs a + imm) land 0xFFFF_FFFF)
+              ~size ~is_write:false ~is_atomic:false ~value:0;
+          fast cpu
     | Store (w, rs1, rs2, imm) ->
         let size = Insn.width_bytes w in
         let over = n_insns - 1 - idx in
-        let probed cpu =
-          rewound t ~over (fun () ->
-              let addr = Word32.add (Cpu.get cpu rs1) imm in
-              let value = Cpu.get cpu rs2 in
-              Probe.fire_mem p
-                {
-                  hart = cpu.id;
-                  pc;
-                  addr;
-                  size;
-                  is_write = true;
-                  is_atomic = false;
-                  value;
-                };
-              bus_write t
-                { hart = cpu.id; pc; addr; size; is_write = true }
-                value)
-        in
         (* dirty marking consults [ram.track_dirty] at run time: the
            dirty-track site of the store template *)
         let a = ri rs1 and v = ri rs2 in
@@ -662,34 +669,15 @@ let translate_fast t base =
                     (Array.unsafe_get r v)
         in
         fun cpu ->
-          if Array.length p.Probe.mem = 0 then fast cpu else probed cpu
+          if Array.length p.Probe.mem <> 0 then begin
+            let r = cpu.Cpu.regs in
+            fire_mem_rewound t ~over ~hart:cpu.id ~pc
+              ~addr:((Array.unsafe_get r a + imm) land 0xFFFF_FFFF)
+              ~size ~is_write:true ~is_atomic:false ~value:(Array.unsafe_get r v)
+          end;
+          fast cpu
     | Amo (op, rd, rs1, rs2) ->
         let over = n_insns - 1 - idx in
-        let probed cpu =
-          rewound t ~over (fun () ->
-              let addr = Cpu.get cpu rs1 in
-              Probe.fire_mem p
-                {
-                  hart = cpu.id;
-                  pc;
-                  addr;
-                  size = 4;
-                  is_write = true;
-                  is_atomic = true;
-                  value = Cpu.get cpu rs2;
-                };
-              let acc : Fault.access =
-                { hart = cpu.id; pc; addr; size = 4; is_write = true }
-              in
-              let old = bus_read t { acc with is_write = false } in
-              let next =
-                match op with
-                | Amo_add -> Word32.add old (Cpu.get cpu rs2)
-                | Amo_swap -> Cpu.get cpu rs2
-              in
-              bus_write t acc next;
-              Cpu.set cpu rd old)
-        in
         let d = ri rd and a = ri rs1 and v = ri rs2 in
         let is_add = match op with Amo_add -> true | Amo_swap -> false in
         let fast cpu =
@@ -719,7 +707,12 @@ let translate_fast t base =
           end
         in
         fun cpu ->
-          if Array.length p.Probe.mem = 0 then fast cpu else probed cpu
+          if Array.length p.Probe.mem <> 0 then begin
+            let r = cpu.Cpu.regs in
+            fire_mem_rewound t ~over ~hart:cpu.id ~pc ~addr:(Array.unsafe_get r a)
+              ~size:4 ~is_write:true ~is_atomic:true ~value:(Array.unsafe_get r v)
+          end;
+          fast cpu
     | Branch (c, rs1, rs2, imm) ->
         let a = ri rs1 and b = ri rs2 in
         let taken = Word32.add pc imm and ft = pc + Insn.size in
@@ -747,7 +740,7 @@ let translate_fast t base =
           Cpu.set cpu rd link;
           cpu.pc <- target;
           if Array.length p.Probe.calls > 0 then
-            Probe.fire_call p { c_hart = cpu.id; c_pc = pc; c_target = target })
+            Probe.fire_call p ~hart:cpu.id ~pc ~target)
         else fun cpu ->
           if d <> 0 then Array.unsafe_set cpu.Cpu.regs d link;
           cpu.Cpu.pc <- target
@@ -760,19 +753,14 @@ let translate_fast t base =
           Cpu.set cpu rd link;
           cpu.pc <- target;
           if Array.length p.Probe.calls > 0 then
-            Probe.fire_call p { c_hart = cpu.id; c_pc = pc; c_target = target })
+            Probe.fire_call p ~hart:cpu.id ~pc ~target)
         else if is_ret then (fun cpu ->
           let target = Word32.add (Cpu.get cpu rs1) imm in
           Cpu.set cpu rd link;
           cpu.pc <- target;
           if Array.length p.Probe.rets > 0 then
-            Probe.fire_ret p
-              {
-                r_hart = cpu.id;
-                r_pc = pc;
-                r_target = target;
-                r_retval = Cpu.get cpu Reg.a0;
-              })
+            Probe.fire_ret p ~hart:cpu.id ~pc ~target
+              ~retval:(Cpu.get cpu Reg.a0))
         else
           let d = ri rd and a = ri rs1 in
           fun cpu ->
@@ -782,9 +770,10 @@ let translate_fast t base =
             cpu.Cpu.pc <- target
     | Trap num ->
         let next_pc = pc + Insn.size in
+        let cell = trap_cell t num in
         fun cpu ->
           cpu.pc <- next_pc;
-          (match Hashtbl.find_opt t.trap_handlers num with
+          (match cell.trap with
           | Some handler -> handler t cpu
           | None -> raise (Trap_unhandled (pc, num)))
   in
@@ -857,16 +846,8 @@ let translate_baseline t base =
           tick_mem cpu;
           let addr = Word32.add (Cpu.get cpu rs1) imm in
           if Probe.has_mem t.probes then
-            Probe.fire_mem t.probes
-              {
-                hart = cpu.id;
-                pc;
-                addr;
-                size;
-                is_write = false;
-                is_atomic = false;
-                value = 0;
-              };
+            Probe.fire_mem t.probes ~hart:cpu.id ~pc ~addr ~size
+              ~is_write:false ~is_atomic:false ~value:0;
           let raw =
             bus_read t { hart = cpu.id; pc; addr; size; is_write = false }
           in
@@ -878,32 +859,16 @@ let translate_baseline t base =
           let addr = Word32.add (Cpu.get cpu rs1) imm in
           let value = Cpu.get cpu rs2 in
           if Probe.has_mem t.probes then
-            Probe.fire_mem t.probes
-              {
-                hart = cpu.id;
-                pc;
-                addr;
-                size;
-                is_write = true;
-                is_atomic = false;
-                value;
-              };
+            Probe.fire_mem t.probes ~hart:cpu.id ~pc ~addr ~size
+              ~is_write:true ~is_atomic:false ~value;
           bus_write t { hart = cpu.id; pc; addr; size; is_write = true } value
     | Amo (op, rd, rs1, rs2) ->
         fun cpu ->
           tick_mem cpu;
           let addr = Cpu.get cpu rs1 in
           if Probe.has_mem t.probes then
-            Probe.fire_mem t.probes
-              {
-                hart = cpu.id;
-                pc;
-                addr;
-                size = 4;
-                is_write = true;
-                is_atomic = true;
-                value = Cpu.get cpu rs2;
-              };
+            Probe.fire_mem t.probes ~hart:cpu.id ~pc ~addr ~size:4
+              ~is_write:true ~is_atomic:true ~value:(Cpu.get cpu rs2);
           let acc : Fault.access =
             { hart = cpu.id; pc; addr; size = 4; is_write = true }
           in
@@ -930,8 +895,7 @@ let translate_baseline t base =
           Cpu.set cpu rd (pc + Insn.size);
           cpu.pc <- target;
           if is_call && Probe.has_calls t.probes then
-            Probe.fire_call t.probes
-              { c_hart = cpu.id; c_pc = pc; c_target = target }
+            Probe.fire_call t.probes ~hart:cpu.id ~pc ~target
     | Jalr (rd, rs1, imm) ->
         let is_call = Reg.equal rd Reg.ra in
         let is_ret = Reg.equal rd Reg.zero && Reg.equal rs1 Reg.ra in
@@ -941,21 +905,16 @@ let translate_baseline t base =
           Cpu.set cpu rd (pc + Insn.size);
           cpu.pc <- target;
           if is_call && Probe.has_calls t.probes then
-            Probe.fire_call t.probes
-              { c_hart = cpu.id; c_pc = pc; c_target = target }
+            Probe.fire_call t.probes ~hart:cpu.id ~pc ~target
           else if is_ret && Probe.has_rets t.probes then
-            Probe.fire_ret t.probes
-              {
-                r_hart = cpu.id;
-                r_pc = pc;
-                r_target = target;
-                r_retval = Cpu.get cpu Reg.a0;
-              }
+            Probe.fire_ret t.probes ~hart:cpu.id ~pc ~target
+              ~retval:(Cpu.get cpu Reg.a0)
     | Trap num ->
+        let cell = trap_cell t num in
         fun cpu ->
           tick_alu cpu;
           cpu.pc <- pc + Insn.size;
-          (match Hashtbl.find_opt t.trap_handlers num with
+          (match cell.trap with
           | Some handler -> handler t cpu
           | None -> raise (Trap_unhandled (pc, num)))
   in
@@ -986,12 +945,14 @@ let translate t base =
   | Fast -> translate_fast t base
   | Baseline -> translate_baseline t base
 
+(* [Hashtbl.find] rather than [find_opt]: a hit, once per turn, boxes
+   nothing. *)
 let lookup_block t pc =
-  match Hashtbl.find_opt t.block_cache pc with
-  | Some b when b.b_gen = t.tcg_gen ->
+  match Hashtbl.find t.block_cache pc with
+  | b when b.b_gen = t.tcg_gen ->
       t.stats.cache_hits <- t.stats.cache_hits + 1;
       b
-  | Some _ | None ->
+  | _ | (exception Not_found) ->
       t.stats.cache_misses <- t.stats.cache_misses + 1;
       let b = translate t pc in
       Hashtbl.replace t.block_cache pc b;
@@ -1035,12 +996,14 @@ let exec_ops t (b : block) (cpu : Cpu.t) =
    its deadline. *)
 let chain_limit = 16
 
+(* Returns the link's own option, so a chained transfer allocates
+   nothing. *)
 let link_lookup (b : block) pc gen =
   match b.l0 with
-  | Some nb when b.l0_pc = pc && nb.b_gen = gen -> Some nb
+  | Some nb as l when b.l0_pc = pc && nb.b_gen = gen -> l
   | _ -> (
       match b.l1 with
-      | Some nb when b.l1_pc = pc && nb.b_gen = gen -> Some nb
+      | Some nb as l when b.l1_pc = pc && nb.b_gen = gen -> l
       | _ -> None)
 
 let link_set (b : block) pc nb =
@@ -1065,7 +1028,7 @@ let rec chain_exec t (cpu : Cpu.t) b budget ~deadline =
   then begin
     let pc = cpu.pc in
     if Probe.has_blocks t.probes then
-      Probe.fire_block t.probes { b_hart = cpu.id; b_pc = pc };
+      Probe.fire_block t.probes ~hart:cpu.id ~pc;
     let nb =
       match link_lookup b pc t.tcg_gen with
       | Some nb ->
@@ -1081,7 +1044,7 @@ let rec chain_exec t (cpu : Cpu.t) b budget ~deadline =
 
 let exec_turn t (cpu : Cpu.t) ~deadline =
   if Probe.has_blocks t.probes then
-    Probe.fire_block t.probes { b_hart = cpu.id; b_pc = cpu.pc };
+    Probe.fire_block t.probes ~hart:cpu.id ~pc:cpu.pc;
   let b = lookup_block t cpu.pc in
   chain_exec t cpu b chain_limit ~deadline
 
@@ -1089,7 +1052,7 @@ let exec_turn t (cpu : Cpu.t) ~deadline =
 let exec_block_baseline t (cpu : Cpu.t) =
   let pc = cpu.pc in
   if Probe.has_blocks t.probes then
-    Probe.fire_block t.probes { b_hart = cpu.id; b_pc = pc };
+    Probe.fire_block t.probes ~hart:cpu.id ~pc;
   let block = lookup_block t pc in
   let ops = block.b_ops in
   for i = 0 to Array.length ops - 1 do
@@ -1113,56 +1076,55 @@ let set_sched t sched = t.sched <- sched
 let run_slice t ~max_insns ~(until : unit -> bool) =
   let deadline = t.total_insns + max_insns in
   let n = Array.length t.harts in
+  (* built-in rotation: the first runnable hart from [next_hart], or -1;
+     an index rather than an option, so a turn allocates nothing *)
+  let rec pick k =
+    if k >= n then -1
+    else
+      let id = (t.next_hart + k) mod n in
+      if runnable t t.harts.(id) then id else pick (k + 1)
+  in
   let rec loop idle_rounds =
     if until () then None
     else if t.total_insns >= deadline then Some Budget_exhausted
-    else begin
+    else
       (* pick next runnable hart: external scheduler when armed (with its
          own per-turn deadline, clamped to the slice), else round-robin *)
-      let picked =
-        match t.sched with
-        | Some sched -> (
-            match sched t with
-            | Some (cpu, turn_end) -> Some (cpu, min turn_end deadline)
-            | None -> None)
-        | None ->
-            let rec pick k =
-              if k >= n then None
-              else
-                let cpu = t.harts.((t.next_hart + k) mod n) in
-                if runnable t cpu then Some (cpu, deadline) else pick (k + 1)
-            in
-            pick 0
-      in
-      match picked with
-      | Some (cpu, turn_deadline) -> (
-          t.next_hart <- (cpu.id + 1) mod n;
-          match step t cpu ~deadline:turn_deadline with
-          | () -> loop 0
-          | exception Fault.Halted code -> Some (Halted code)
-          | exception Fault.Memory_fault (acc, reason) -> Some (Fault (acc, reason))
-          | exception Fault.Retry_at pc ->
-              cpu.pc <- pc;
-              loop 0
-          | exception Trap_unhandled (pc, num) -> Some (Unhandled_trap { pc; num })
-          | exception Codec.Decode_error { addr; reason } ->
-              Some (Decode_fault { pc = addr; reason }))
+      match t.sched with
+      | Some sched -> (
+          match sched t with
+          | Some (cpu, turn_end) -> turn cpu (min turn_end deadline)
+          | None -> idle idle_rounds)
       | None ->
-          (* all harts parked/halted/stalled: advance time past the nearest
-             stall, or report deadlock *)
-          let nearest =
-            Array.fold_left
-              (fun acc (cpu : Cpu.t) ->
-                if cpu.status = Running && cpu.stall_until > t.total_insns then
-                  min acc cpu.stall_until
-                else acc)
-              max_int t.harts
-          in
-          if nearest = max_int || idle_rounds > 2 then Some Deadlock
-          else begin
-            t.total_insns <- nearest;
-            loop (idle_rounds + 1)
-          end
+          let id = pick 0 in
+          if id >= 0 then turn t.harts.(id) deadline else idle idle_rounds
+  and turn (cpu : Cpu.t) turn_deadline =
+    t.next_hart <- (cpu.id + 1) mod n;
+    match step t cpu ~deadline:turn_deadline with
+    | () -> loop 0
+    | exception Fault.Halted code -> Some (Halted code)
+    | exception Fault.Memory_fault (acc, reason) -> Some (Fault (acc, reason))
+    | exception Fault.Retry_at pc ->
+        cpu.pc <- pc;
+        loop 0
+    | exception Trap_unhandled (pc, num) -> Some (Unhandled_trap { pc; num })
+    | exception Codec.Decode_error { addr; reason } ->
+        Some (Decode_fault { pc = addr; reason })
+  and idle idle_rounds =
+    (* all harts parked/halted/stalled: advance time past the nearest
+       stall, or report deadlock *)
+    let nearest =
+      Array.fold_left
+        (fun acc (cpu : Cpu.t) ->
+          if cpu.status = Running && cpu.stall_until > t.total_insns then
+            min acc cpu.stall_until
+          else acc)
+        max_int t.harts
+    in
+    if nearest = max_int || idle_rounds > 2 then Some Deadlock
+    else begin
+      t.total_insns <- nearest;
+      loop (idle_rounds + 1)
     end
   in
   loop 0

@@ -62,7 +62,8 @@ type t = {
   probes : Probe.t;
   cmplog : Cmplog.t;  (** compare-operand coverage sink (see {!Cmplog}) *)
   block_cache : (int, block) Hashtbl.t;
-  trap_handlers : (int, handler) Hashtbl.t;
+  trap_cells : (int, trap_cell) Hashtbl.t;
+      (** one cell per trap number, see {!set_trap_handler} *)
   stats : Engine_stats.t;
   mutable engine : engine;
   mutable tcg_gen : int;  (** bumped by flush_tcg; invalidates chain links *)
@@ -82,6 +83,10 @@ type t = {
 }
 
 and handler = t -> Cpu.t -> unit
+
+(** The handler slot of one trap number.  A translated [Trap] op holds its
+    cell, resolved when the block is translated. *)
+and trap_cell
 
 (** External hart scheduler: pick the next hart to run and the absolute
     [total_insns] deadline of its turn (clamped to the enclosing slice
@@ -132,8 +137,14 @@ val set_dirty_tracking : t -> bool -> unit
     patch of the branch/compare sites. *)
 val set_cmplog : t -> bool -> unit
 
+(** Install or replace the handler of a trap number (any int).  Setting
+    and removing mutate the number's cell, which already-translated [Trap]
+    ops hold, so both take effect without a flush; a [Trap] whose cell has
+    no handler stops the machine with [Unhandled_trap]. *)
 val set_trap_handler : t -> int -> handler -> unit
+
 val remove_trap_handler : t -> int -> unit
+val has_trap_handler : t -> int -> bool
 
 (** Arm (or, with [None], disarm) the external hart scheduler. *)
 val set_sched : t -> scheduler option -> unit

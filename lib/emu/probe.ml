@@ -13,29 +13,37 @@
    Subscribers are stored in arrays, appended in registration order.
    Registration is rare and cold; dispatch is the hot path, so a site's
    armed check is one array-length load and [fire_*] special-cases the
-   common one-sanitizer case into a direct closure call. *)
+   common one-subscriber case into a direct closure call.  Subscribers
+   take their event as unboxed labelled arguments: delivering an event
+   builds no record, so a probed access allocates nothing. *)
 
-type mem_event = {
-  hart : int;
-  pc : int;
-  addr : int;
-  size : int;
-  is_write : bool;
-  is_atomic : bool; (* AMO instructions: marked accesses for KCSAN *)
-  value : int; (* value being written (stores); 0 for loads (pre-access) *)
-}
+(* [value] is the value being written (stores, AMOs) and 0 for loads;
+   [is_atomic] marks AMO instructions. *)
+type mem_fn =
+  hart:int ->
+  pc:int ->
+  addr:int ->
+  size:int ->
+  is_write:bool ->
+  is_atomic:bool ->
+  value:int ->
+  unit
 
-type call_event = { c_hart : int; c_pc : int; c_target : int }
+(* [pc] is the call instruction, [target] the callee. *)
+type call_fn = hart:int -> pc:int -> target:int -> unit
 
-type ret_event = { r_hart : int; r_pc : int; r_target : int; r_retval : int }
+(* [pc] is the return instruction, [target] the return address and
+   [retval] the callee's a0. *)
+type ret_fn = hart:int -> pc:int -> target:int -> retval:int -> unit
 
-type block_event = { b_hart : int; b_pc : int }
+(* [pc] is the block about to run. *)
+type block_fn = hart:int -> pc:int -> unit
 
 type t = {
-  mutable mem : (mem_event -> unit) array;
-  mutable calls : (call_event -> unit) array;
-  mutable rets : (ret_event -> unit) array;
-  mutable blocks : (block_event -> unit) array;
+  mutable mem : mem_fn array;
+  mutable calls : call_fn array;
+  mutable rets : ret_fn array;
+  mutable blocks : block_fn array;
 }
 
 (* A subscription handle: an idempotent removal thunk closing over the
@@ -46,8 +54,7 @@ let create () = { mem = [||]; calls = [||]; rets = [||]; blocks = [||] }
 
 (* Append preserving registration (fire) order.  O(n) copy, but n is the
    number of *subscribers* (a handful), not events, and registration is
-   once per attach -- unlike the old [l @ [f]] list representation this
-   keeps dispatch allocation-free and cache-friendly. *)
+   once per attach. *)
 let append a f = Array.append a [| f |]
 
 (* Remove the first physical occurrence of [f], preserving the order of
@@ -103,34 +110,37 @@ let has_blocks t = Array.length t.blocks > 0
    overwhelmingly common configuration, and a direct closure call beats a
    generic iteration. *)
 
-let fire_mem t ev =
+(* inlined into the machine's armed memory sites: one call less per
+   probed access *)
+let[@inline] fire_mem t ~hart ~pc ~addr ~size ~is_write ~is_atomic ~value =
   let a = t.mem in
-  if Array.length a = 1 then (Array.unsafe_get a 0) ev
+  if Array.length a = 1 then
+    (Array.unsafe_get a 0) ~hart ~pc ~addr ~size ~is_write ~is_atomic ~value
   else
     for i = 0 to Array.length a - 1 do
-      (Array.unsafe_get a i) ev
+      (Array.unsafe_get a i) ~hart ~pc ~addr ~size ~is_write ~is_atomic ~value
     done
 
-let fire_call t ev =
+let fire_call t ~hart ~pc ~target =
   let a = t.calls in
-  if Array.length a = 1 then (Array.unsafe_get a 0) ev
+  if Array.length a = 1 then (Array.unsafe_get a 0) ~hart ~pc ~target
   else
     for i = 0 to Array.length a - 1 do
-      (Array.unsafe_get a i) ev
+      (Array.unsafe_get a i) ~hart ~pc ~target
     done
 
-let fire_ret t ev =
+let fire_ret t ~hart ~pc ~target ~retval =
   let a = t.rets in
-  if Array.length a = 1 then (Array.unsafe_get a 0) ev
+  if Array.length a = 1 then (Array.unsafe_get a 0) ~hart ~pc ~target ~retval
   else
     for i = 0 to Array.length a - 1 do
-      (Array.unsafe_get a i) ev
+      (Array.unsafe_get a i) ~hart ~pc ~target ~retval
     done
 
-let fire_block t ev =
+let fire_block t ~hart ~pc =
   let a = t.blocks in
-  if Array.length a = 1 then (Array.unsafe_get a 0) ev
+  if Array.length a = 1 then (Array.unsafe_get a 0) ~hart ~pc
   else
     for i = 0 to Array.length a - 1 do
-      (Array.unsafe_get a i) ev
+      (Array.unsafe_get a i) ~hart ~pc
     done

@@ -18,12 +18,12 @@ let install (m : Machine.t) =
       Buffer.add_char m.uart.Devices.out
         (Char.chr (Cpu.get cpu Reg.a0 land 0xFF)));
   (* kcov reports are dropped unless a coverage collector overrides this *)
-  if not (Hashtbl.mem m.trap_handlers Hypercall.kcov) then
+  if not (Machine.has_trap_handler m Hypercall.kcov) then
     Machine.set_trap_handler m Hypercall.kcov (fun _ _ -> ());
   (* interrupt plumbing for the rehosting layer: the stub announcement is
      always recorded (so arming a rehost controller after boot finds it);
      end-of-interrupt stays inert unless a controller overrides it *)
   Machine.set_trap_handler m Hypercall.irq_register (fun m cpu ->
       m.irq_entry <- Cpu.get cpu Reg.a0);
-  if not (Hashtbl.mem m.trap_handlers Hypercall.irq_eoi) then
+  if not (Machine.has_trap_handler m Hypercall.irq_eoi) then
     Machine.set_trap_handler m Hypercall.irq_eoi (fun _ _ -> ())

@@ -254,7 +254,23 @@ let kasan_dedup () =
   done;
   Alcotest.(check int) "one unique report" 1 (Report.count sink);
   let key = Report.dedup_key (List.hd (Report.unique_reports sink)) in
-  Alcotest.(check int) "five hits" 5 (Report.hits sink key)
+  Alcotest.(check int) "five hits" 5 (Report.hits sink key);
+  Alcotest.(check int) "total hits" 5 (Report.total_hits sink);
+  (* the detail is formatted for the new report only *)
+  let formatted = ref 0 in
+  let r = { (List.hd (Report.unique_reports sink)) with pc = 0xCD; location = None } in
+  for _ = 1 to 3 do
+    ignore
+      (Report.add_lazy sink r ~detail:(fun () ->
+           incr formatted;
+           "late detail")
+        : bool)
+  done;
+  Alcotest.(check int) "detail formatted once" 1 !formatted;
+  Alcotest.(check (list string)) "unique details"
+    [ (List.hd (Report.unique_reports sink)).detail; "late detail" ]
+    (List.map (fun (r : Report.t) -> r.detail) (Report.unique_reports sink));
+  Alcotest.(check int) "total hits with duplicates" 8 (Report.total_hits sink)
 
 (* --- End-to-end: EmbSan on real firmware ------------------------------------------- *)
 
@@ -721,7 +737,7 @@ let pending_allocs_bounded_and_restored () =
   let snap = Runtime.save rt in
   (* allocator entries whose returns never happen (crash / tail call) *)
   let enter pc =
-    Probe.fire_call m.probes { Probe.c_hart = 0; c_pc = pc; c_target = kmalloc }
+    Probe.fire_call m.probes ~hart:0 ~pc ~target:kmalloc
   in
   enter 0x100;
   enter 0x200;
@@ -737,13 +753,9 @@ let pending_allocs_bounded_and_restored () =
   Alcotest.(check int) "bounded" Runtime.pending_capacity
     (Runtime.pending_depth rt ~hart:0);
   (* a matching return resolves the newest frame *)
-  Probe.fire_ret m.probes
-    {
-      Probe.r_hart = 0;
-      r_pc = kmalloc;
-      r_target = 0x1000 + (8 * 100) + Insn.size;
-      r_retval = 0x2_0000;
-    };
+  Probe.fire_ret m.probes ~hart:0 ~pc:kmalloc
+    ~target:(0x1000 + (8 * 100) + Insn.size)
+    ~retval:0x2_0000;
   Alcotest.(check int) "return pops"
     (Runtime.pending_capacity - 1)
     (Runtime.pending_depth rt ~hart:0);
@@ -1000,33 +1012,188 @@ let ftrace_state_roundtrip () =
   Alcotest.(check int) "restored state forgets the detour" 0
     (List.length (races sink))
 
+(* --- Quiet tests: compiled access function = plain plan loop ------------------- *)
+
+(* The runtime's compiled access function (inline quiet tests, then the
+   plan loop) against the plain plan loop, on twin runtimes driven by the
+   same random setup and accesses: shadow states, allocations, exempt pc
+   ranges, KCSAN sampling intervals (so the countdown fires and
+   watchpoints open and close), and accesses to RAM, MMIO, the null page,
+   past the end of RAM, straddling granules, atomic or not.  After every
+   access both must agree on the exception raised (KCSAN's [Retry_at]
+   included), the reports and hit counts, every plugin counter, the KCSAN
+   countdown and armed state, [external_cost] and the harts' stalls. *)
+let quiet_differential =
+  let open QCheck2 in
+  let ram_base = 0x1_0000 and ram_size = 0x2000 in
+  let limit = ram_base + ram_size in
+  let granules = ram_size / Shadow.granule in
+  let code_gen =
+    Gen.oneofl
+      Shadow.
+        [
+          Heap_redzone;
+          Stack_redzone;
+          Global_redzone;
+          Freed;
+          partial 1;
+          partial 3;
+          partial 7;
+        ]
+  in
+  let poison_gen =
+    Gen.(triple (int_bound (granules - 1)) (int_range 1 6) code_gen)
+  in
+  let alloc_gen = Gen.(triple (int_bound (granules - 8)) (int_range 1 40) bool) in
+  let addr_gen =
+    Gen.(
+      frequency
+        [
+          (8, int_range ram_base (limit - 8));
+          (* the last 2 bytes of a granule: straddles when size > 2 *)
+          (3, map (fun g -> ram_base + (g * 8) + 6) (int_bound (granules - 2)));
+          (1, int_range 0xF000_0000 0xF000_0040);
+          (1, int_bound 0x1800);
+          (1, int_range (limit - 3) (limit + 16));
+        ])
+  in
+  let access_gen =
+    Gen.(
+      pair
+        (triple (oneofl [ 0x100; 0x104; 0x200; 0x300; 0x404 ]) (int_bound 1) addr_gen)
+        (triple (oneofl [ 1; 2; 4 ]) bool (frequency [ (5, return false); (1, return true) ])))
+  in
+  let setup_gen =
+    Gen.(
+      pair
+        (quad
+           (oneofl [ [ "kasan"; "kcsan" ]; [ "kasan" ]; [ "kcsan" ] ])
+           (int_range 1 8) (int_range 1 50)
+           (list_size (int_range 0 3) (pair (oneofl [ 0x100; 0x200; 0x400 ]) (int_range 1 8))))
+        (triple
+           (list_size (int_range 0 6) alloc_gen)
+           (list_size (int_range 0 30) poison_gen)
+           (list_size (int_range 1 60) access_gen)))
+  in
+  let make (sans, interval, stall, exempts) (allocs, poisons) =
+    let headers =
+      List.map (function "kasan" -> Api_spec.kasan () | _ -> Api_spec.kcsan ()) sans
+    in
+    let spec =
+      {
+        (Distiller.distill headers) with
+        exempts =
+          List.map (fun (lo, n) -> { Dsl.e_name = "e"; e_addr = lo; e_size = n }) exempts;
+      }
+    in
+    let m =
+      Machine.create ~harts:2 ~ram_base ~ram_size ~arch:Arch.Arm_ev ()
+    in
+    let rt =
+      Runtime.attach ~spec ~mode:Runtime.D
+        ~tuning:[ ("kcsan.interval", interval); ("kcsan.stall", stall) ]
+        m
+    in
+    let inst name =
+      Array.find_opt (fun i -> Sanitizer.instance_name i = name) rt.instances
+    in
+    Option.iter
+      (fun k ->
+        List.iter
+          (fun (g, size, freed) ->
+            let ptr = ram_base + (g * 8) in
+            Sanitizer.event k (Sanitizer.Alloc { ptr; size; pc = 0x500 + g; now = 0 });
+            if freed then Sanitizer.event k (Sanitizer.Free { ptr; pc = 0x600; hart = 0 }))
+          allocs)
+      (inst "kasan");
+    List.iter
+      (fun (g, n, code) ->
+        Shadow.poison rt.shadow ~addr:(ram_base + (g * 8)) ~size:(n * 8) code)
+      poisons;
+    (m, rt, inst)
+  in
+  (* the plan loop every access ran before quiet tests existed *)
+  let plain (rt : Runtime.t) inst ~pc ~addr ~size ~is_write ~is_atomic ~hart =
+    rt.mem_events <- rt.mem_events + 1;
+    Machine.add_external_cost rt.machine rt.event_units;
+    if not (Runtime.pc_exempt rt pc) then
+      List.iter
+        (fun name ->
+          Sanitizer.access (Option.get (inst name)) ~pc ~addr ~size ~is_write
+            ~is_atomic ~hart)
+        (Runtime.plan_names rt (if is_write then Api_spec.P_store else Api_spec.P_load))
+  in
+  let observe (m : Machine.t) (rt : Runtime.t) outcome =
+    ( outcome,
+      ( Runtime.reports rt,
+        Report.total_hits rt.sink,
+        Runtime.plugin_stats rt,
+        m.external_cost ),
+      ( rt.mem_events,
+        Array.to_list
+          (Array.map
+             (fun i ->
+               match Sanitizer.quiet i with
+               | Sanitizer.Sampled s -> Some (s.countdown, s.armed, s.seen)
+               | Loud | Shadow_clear _ -> None)
+             rt.instances),
+        Array.map (fun (c : Cpu.t) -> c.stall_until) m.harts ) )
+  in
+  let run f = match f () with () -> "ok" | exception e -> Printexc.to_string e in
+  Test.make ~name:"compiled access = plain plan loop" ~count:300 setup_gen
+    (fun (cfg, (allocs, poisons, accesses)) ->
+      let ma, ra, _ = make cfg (allocs, poisons) in
+      let mb, rb, inst_b = make cfg (allocs, poisons) in
+      List.for_all
+        (fun ((pc, hart, addr), (size, is_write, is_atomic)) ->
+          let oa =
+            run (fun () ->
+                Runtime.dispatch_access ra ~pc ~addr ~size ~is_write ~is_atomic ~hart)
+          in
+          let ob =
+            run (fun () -> plain rb inst_b ~pc ~addr ~size ~is_write ~is_atomic ~hart)
+          in
+          observe ma ra oa = observe mb rb ob)
+        accesses)
+
 (* --- ftrace: the zero-core-edit pin -------------------------------------------------- *)
 
 (* The plugin claim, grep-pinned like ualign's: the detector arrives via
    Api_spec + registry + the public trap-handler hook only.  The Common
    Sanitizer Runtime and the engine's probe paths must not know it
    exists. *)
+(* Lower-cased text of a repository file.  cwd is _build/default/test
+   under `dune runtest`, the workspace root under `dune exec` -- accept
+   either. *)
+let read_source rel =
+  let path = if Sys.file_exists ("../" ^ rel) then "../" ^ rel else rel in
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  String.lowercase_ascii s
+
 let ftrace_zero_core_edits () =
-  let read_all path =
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
-  (* cwd is _build/default/test under `dune runtest`, the workspace root
-     under `dune exec` -- accept either *)
-  let resolve rel =
-    if Sys.file_exists ("../" ^ rel) then "../" ^ rel else rel
-  in
   List.iter
     (fun rel ->
-      let path = resolve rel in
       Alcotest.(check bool)
         (Printf.sprintf "no \"ftrace\" in %s" rel)
         false
-        (contains (String.lowercase_ascii (read_all path)) "ftrace"))
+        (contains (read_source rel) "ftrace"))
     [ "lib/core/runtime.ml"; "lib/emu/machine.ml"; "lib/emu/probe.ml" ]
+
+(* The quiet tests are plugin data: the engine's probe path never names a
+   sanitizer. *)
+let engine_names_no_sanitizer () =
+  List.iter
+    (fun rel ->
+      let text = read_source rel in
+      List.iter
+        (fun san ->
+          Alcotest.(check bool)
+            (Printf.sprintf "no %S in %s" san rel)
+            false (contains text san))
+        [ "kasan"; "kcsan"; "kmemleak"; "ualign"; "ftrace" ])
+    [ "lib/emu/machine.ml"; "lib/emu/probe.ml" ]
 
 let () =
   Alcotest.run "embsan_core"
@@ -1079,6 +1246,9 @@ let () =
         [
           QCheck_alcotest.to_alcotest plan_matches_wants;
           QCheck_alcotest.to_alcotest pc_exempt_matches_linear;
+          QCheck_alcotest.to_alcotest quiet_differential;
+          Alcotest.test_case "engine names no sanitizer (grep pin)" `Quick
+            engine_names_no_sanitizer;
           Alcotest.test_case "pending allocs bounded + restored" `Quick
             pending_allocs_bounded_and_restored;
           Alcotest.test_case "ualign as a fourth sanitizer" `Quick

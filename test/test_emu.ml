@@ -15,6 +15,30 @@ let unit_ text data = { Asm.unit_name = "t"; text; data }
 
 let check_stop = Alcotest.testable Machine.pp_stop ( = )
 
+(* Probe subscribers take unboxed arguments; tests that inspect the events
+   build their own records. *)
+type mem_ev = {
+  hart : int;
+  pc : int;
+  addr : int;
+  size : int;
+  is_write : bool;
+  value : int;
+}
+
+let on_mem_ev (m : Machine.t) f =
+  Probe.on_mem m.probes (fun ~hart ~pc ~addr ~size ~is_write ~is_atomic:_ ~value ->
+      f { hart; pc; addr; size; is_write; value })
+
+let mem_any f ~hart:_ ~pc:_ ~addr:_ ~size:_ ~is_write:_ ~is_atomic:_ ~value:_ =
+  f ()
+
+let block_any f ~hart:_ ~pc:_ = f ()
+let nop_mem ~hart:_ ~pc:_ ~addr:_ ~size:_ ~is_write:_ ~is_atomic:_ ~value:_ = ()
+let nop_call ~hart:_ ~pc:_ ~target:_ = ()
+let nop_ret ~hart:_ ~pc:_ ~target:_ ~retval:_ = ()
+let nop_block ~hart:_ ~pc:_ = ()
+
 let run_halt_code () =
   let open Asm in
   let m, _ = assemble_and_load [ unit_ [ Label "main"; li Reg.a0 42; halt ] [] ] in
@@ -131,7 +155,7 @@ let mem_probe_events () =
   in
   let m, img = assemble_and_load [ unit_ text [ Label "buf"; Words [ 0; 0 ] ] ] in
   let events = ref [] in
-  Probe.on_mem m.probes (fun ev -> events := ev :: !events);
+  on_mem_ev m (fun ev -> events := ev :: !events);
   ignore (Machine.run m ~max_insns:100);
   let buf = Image.symbol_addr_exn img "buf" in
   match List.rev !events with
@@ -158,7 +182,7 @@ let probe_subscription_patches_live_blocks () =
   ignore (Machine.run m ~max_insns:100);
   let translations0 = m.stats.translations in
   let count = ref 0 in
-  Probe.on_mem m.probes (fun _ -> incr count);
+  Probe.on_mem m.probes (mem_any (fun () -> incr count));
   Machine.boot m;
   ignore (Machine.run m ~max_insns:100);
   Alcotest.(check int) "event after subscription" 1 !count;
@@ -174,9 +198,9 @@ let probe_unsubscribe_idempotent () =
   in
   let m, _ = assemble_and_load [ unit_ text [ Label "buf"; Words [ 1 ] ] ] in
   let order = ref [] in
-  let _s1 = Probe.subscribe_mem m.probes (fun _ -> order := 1 :: !order) in
-  let s2 = Probe.subscribe_mem m.probes (fun _ -> order := 2 :: !order) in
-  let _s3 = Probe.subscribe_mem m.probes (fun _ -> order := 3 :: !order) in
+  let _s1 = Probe.subscribe_mem m.probes (mem_any (fun () -> order := 1 :: !order)) in
+  let s2 = Probe.subscribe_mem m.probes (mem_any (fun () -> order := 2 :: !order)) in
+  let _s3 = Probe.subscribe_mem m.probes (mem_any (fun () -> order := 3 :: !order)) in
   ignore (Machine.run m ~max_insns:100);
   Alcotest.(check (list int)) "all fire in order" [ 1; 2; 3 ] (List.rev !order);
   Probe.unsubscribe s2;
@@ -203,15 +227,16 @@ let call_ret_probes () =
   in
   let m, img = assemble_and_load [ unit_ text [] ] in
   let calls = ref [] and rets = ref [] in
-  Probe.on_call m.probes (fun ev -> calls := ev :: !calls);
-  Probe.on_ret m.probes (fun ev -> rets := ev :: !rets);
+  Probe.on_call m.probes (fun ~hart:_ ~pc:_ ~target -> calls := target :: !calls);
+  Probe.on_ret m.probes (fun ~hart:_ ~pc:_ ~target:_ ~retval ->
+      rets := retval :: !rets);
   ignore (Machine.run m ~max_insns:100);
   let callee = Image.symbol_addr_exn img "callee" in
   (match !calls with
-  | [ c ] -> Alcotest.(check int) "call target" callee c.c_target
+  | [ c ] -> Alcotest.(check int) "call target" callee c
   | _ -> Alcotest.fail "expected one call event");
   match !rets with
-  | [ r ] -> Alcotest.(check int) "retval" 6 r.r_retval
+  | [ r ] -> Alcotest.(check int) "retval" 6 r
   | _ -> Alcotest.fail "expected one ret event"
 
 let multi_hart_interleaving () =
@@ -307,7 +332,7 @@ let stall_and_retry () =
   let side_cell = Image.symbol_addr_exn img "side_cell" in
   let stalled = ref false in
   let side_value_during_stall = ref (-1) in
-  Probe.on_mem m.probes (fun ev ->
+  on_mem_ev m (fun ev ->
       if ev.addr = cell && ev.is_write && not !stalled then begin
         stalled := true;
         m.harts.(0).stall_until <- m.total_insns + 200;
@@ -378,6 +403,35 @@ let mailbox_protocol () =
       Alcotest.(check int) "first ret" 16 a.ret;
       Alcotest.(check int) "second ret" 28 b.ret
   | l -> Alcotest.failf "expected 2 completions, got %d" (List.length l)
+
+(* The completion log keeps the most recent 64 completions, oldest first,
+   however many requests are served, and a save/restore round-trips
+   exactly those. *)
+let mailbox_completions_bounded () =
+  let state, dev = Devices.mailbox () in
+  let serve nr =
+    Devices.mailbox_push state ~nr ~args:[||];
+    Alcotest.(check int) "nr" nr (dev.read ~offset:0x04 ~width:4);
+    dev.write ~offset:0x20 ~width:4 ~value:(2 * nr);
+    dev.write ~offset:0x24 ~width:4 ~value:1
+  in
+  for nr = 1 to 100 do
+    serve nr
+  done;
+  let expected = List.init 64 (fun i -> 37 + i) in
+  let nrs () =
+    List.map (fun (c : Devices.completion) -> c.c_nr) (Devices.mailbox_completions state)
+  in
+  Alcotest.(check (list int)) "most recent 64, oldest first" expected (nrs ());
+  List.iter
+    (fun (c : Devices.completion) -> Alcotest.(check int) "ret" (2 * c.c_nr) c.ret)
+    (Devices.mailbox_completions state);
+  let saved = dev.save () in
+  serve 101;
+  dev.restore saved;
+  Alcotest.(check (list int)) "restored log" expected (nrs ());
+  Devices.mailbox_clear_completions state;
+  Alcotest.(check (list int)) "cleared" [] (nrs ())
 
 let coverage_tcg () =
   let open Asm in
@@ -652,7 +706,7 @@ let probe_registration_order () =
   let m, _ = make () in
   let order = ref [] in
   List.iter
-    (fun tag -> Probe.on_mem m.probes (fun _ -> order := tag :: !order))
+    (fun tag -> Probe.on_mem m.probes (mem_any (fun () -> order := tag :: !order)))
     [ 1; 2; 3 ];
   ignore (Machine.run m ~max_insns:100);
   Alcotest.(check (list int)) "mem fire order" [ 1; 2; 3 ] (List.rev !order);
@@ -660,7 +714,8 @@ let probe_registration_order () =
   let m, _ = make () in
   let order = ref [] in
   List.iter
-    (fun tag -> Probe.on_block m.probes (fun _ -> order := tag :: !order))
+    (fun tag ->
+      Probe.on_block m.probes (block_any (fun () -> order := tag :: !order)))
     [ 1; 2; 3; 4 ];
   ignore (Machine.run m ~max_insns:100);
   Alcotest.(check (list int))
@@ -696,7 +751,7 @@ let chained_blocks_observe_probe_patch () =
   Alcotest.(check bool) "chains formed" true (m.stats.chained > 0);
   let translations0 = m.stats.translations in
   let count = ref 0 in
-  Probe.on_mem m.probes (fun _ -> incr count);
+  Probe.on_mem m.probes (mem_any (fun () -> incr count));
   Machine.boot m;
   ignore (Machine.run m ~max_insns:1000);
   (* 10 iterations x (load + store) + final load = 21 accesses *)
@@ -713,7 +768,7 @@ let toggle_storm_is_flush_free () =
   ignore (Machine.run m ~max_insns:1000);
   let translations0 = m.stats.translations in
   for _ = 1 to 50 do
-    let s = Probe.subscribe_mem m.probes (fun _ -> ()) in
+    let s = Probe.subscribe_mem m.probes nop_mem in
     Probe.unsubscribe s;
     Machine.set_dirty_tracking m true;
     Machine.set_dirty_tracking m true (* no-op toggle: must also be free *);
@@ -843,7 +898,7 @@ let two_hart_turns_are_chain_limit () =
   Machine.start_hart m 1 ~pc:(Image.symbol_addr_exn img "side")
     ~sp:(Machine.ram_base m + Machine.ram_size m - 4096);
   let events = ref [] in
-  Probe.on_block m.probes (fun e -> events := e.Probe.b_hart :: !events);
+  Probe.on_block m.probes (fun ~hart ~pc:_ -> events := hart :: !events);
   Alcotest.check check_stop "budget stop" Machine.Budget_exhausted
     (Machine.run m ~max_insns:5_000);
   (* run-length encode the hart stream into (hart, events) turns *)
@@ -980,19 +1035,18 @@ let run_differential ~probed =
   Machine.start_hart m 1 ~pc:(Image.symbol_addr_exn img "w1")
     ~sp:(Machine.ram_base m + Machine.ram_size m - 4096);
   if probed then begin
-    Probe.on_mem m.probes (fun _ -> ());
-    Probe.on_call m.probes (fun _ -> ());
-    Probe.on_ret m.probes (fun _ -> ());
-    Probe.on_block m.probes (fun _ -> ())
+    Probe.on_mem m.probes nop_mem;
+    Probe.on_call m.probes nop_call;
+    Probe.on_ret m.probes nop_ret;
+    Probe.on_block m.probes nop_block
   end;
   let stop = Machine.run m ~max_insns:1_000_000 in
   (stop, fingerprint m)
 
 let differential_probe_semantics () =
-  (* probed (slow path, events constructed and dispatched) and unprobed
-     (allocation-free fast path) execution must be architecturally
-     identical: same stop, registers, pcs, RAM, retired-insn counts and
-     modeled cost *)
+  (* probed (subscribers fired, then the fast path) and unprobed execution
+     must be architecturally identical: same stop, registers, pcs, RAM,
+     retired-insn counts and modeled cost *)
   let stop_off, fp_off = run_differential ~probed:false in
   let stop_on, fp_on = run_differential ~probed:true in
   Alcotest.check check_stop "same stop reason" stop_off stop_on;
@@ -1118,7 +1172,7 @@ let timer_mid_block_precise () =
   let run_engine engine ~probed =
     let m, _ = assemble_and_load ~harts:1 [ unit_ text [] ] in
     Machine.set_engine m engine;
-    if probed then Probe.on_mem m.probes (fun _ -> ());
+    if probed then Probe.on_mem m.probes nop_mem;
     Machine.run m ~max_insns:1000
   in
   let fast = run_engine Machine.Fast ~probed:false in
@@ -1162,6 +1216,97 @@ let hypercall_numbering_stable () =
         None (Hypercall.decode_check n))
     [ 0; 15; 22; 23; 29; 30 ]
 
+(* --- Allocation pins ---------------------------------------------------------- *)
+
+(* A loop of [count] iterations, each one probed load, store and AMO plus
+   one [Trap 7]; [count] is read from memory so one translation serves
+   every run. *)
+let alloc_loop_text =
+  let open Asm in
+  [
+    Label "main";
+    la Reg.t0 "buf";
+    la Reg.t4 "count";
+    load W32 Reg.t2 Reg.t4 0;
+    li Reg.t1 0;
+    Label "loop";
+    load W32 Reg.t3 Reg.t0 0;
+    addi Reg.t3 Reg.t3 1;
+    store W32 Reg.t0 Reg.t3 0;
+    Ins (Insn.Amo (Insn.Amo_add, Reg.a1, Reg.t0, Reg.t3));
+    trap 7;
+    addi Reg.t1 Reg.t1 1;
+    bltu Reg.t1 Reg.t2 "loop";
+    halt;
+  ]
+
+(* Minor words one run of [n] iterations allocates, on a warm cache. *)
+let words_for_iterations m img n =
+  Machine.write_mem m ~addr:(Image.symbol_addr_exn img "count") ~width:4 ~value:n;
+  Machine.boot m;
+  let w0 = Gc.minor_words () in
+  (match Machine.run m ~max_insns:1_000_000 with
+  | Machine.Halted _ -> ()
+  | s -> Alcotest.failf "loop did not halt: %a" Machine.pp_stop s);
+  Gc.minor_words () -. w0
+
+(* Delivering a probed access to a subscriber, and dispatching a trap to
+   its handler, allocate nothing: a run of 2000 iterations allocates
+   exactly what a run of 1000 does (the run's fixed setup), with a no-op
+   subscriber on every probe kind. *)
+let probed_and_trap_paths_allocate_nothing () =
+  let m, img =
+    assemble_and_load ~harts:1
+      [ unit_ alloc_loop_text [ Asm.Label "buf"; Asm.Words [ 0 ]; Asm.Label "count"; Asm.Words [ 0 ] ] ]
+  in
+  let traps = ref 0 in
+  Machine.set_trap_handler m 7 (fun _ _ -> incr traps);
+  let per_iteration () =
+    ignore (words_for_iterations m img 10 : float);
+    let w1 = words_for_iterations m img 1000 in
+    let w2 = words_for_iterations m img 2000 in
+    w2 -. w1
+  in
+  Alcotest.(check (float 0.)) "trap dispatch: 0 words per iteration" 0.
+    (per_iteration ());
+  Probe.on_mem m.probes nop_mem;
+  Probe.on_call m.probes nop_call;
+  Probe.on_ret m.probes nop_ret;
+  Probe.on_block m.probes nop_block;
+  Alcotest.(check (float 0.)) "probed load/store/AMO + trap: 0 words per iteration"
+    0. (per_iteration ());
+  Alcotest.(check int) "every trap dispatched" (2 * (10 + 1000 + 2000)) !traps
+
+(* A [Trap] block holds its trap number's handler cell: a handler set after
+   the block was translated is called, and once removed the trap is
+   unhandled again -- neither change flushes or retranslates. *)
+let trap_cell_patches_translated_code () =
+  let open Asm in
+  let m, _ =
+    assemble_and_load ~harts:1 [ unit_ [ Label "main"; trap 7; li Reg.a0 1; halt ] [] ]
+  in
+  let unhandled () =
+    match Machine.run m ~max_insns:100 with
+    | Machine.Unhandled_trap { num = 7; _ } -> ()
+    | s -> Alcotest.failf "expected unhandled trap 7, got %a" Machine.pp_stop s
+  in
+  unhandled ();
+  let translations0 = m.stats.translations in
+  let called = ref 0 in
+  Machine.set_trap_handler m 7 (fun _ _ -> incr called);
+  Machine.boot m;
+  Alcotest.check check_stop "handled" (Machine.Halted 1) (Machine.run m ~max_insns:100);
+  Alcotest.(check int) "late handler called" 1 !called;
+  (* only the block after the trap is new *)
+  Alcotest.(check int) "trap block kept" (translations0 + 1) m.stats.translations;
+  Machine.remove_trap_handler m 7;
+  Alcotest.(check bool) "no handler" false (Machine.has_trap_handler m 7);
+  Machine.boot m;
+  unhandled ();
+  Alcotest.(check int) "removed handler not called" 1 !called;
+  Alcotest.(check int) "no retranslation" (translations0 + 1) m.stats.translations;
+  Alcotest.(check int) "no flush" 0 m.stats.flushes_invalidate
+
 let () =
   Alcotest.run "embsan_emu"
     [
@@ -1177,6 +1322,8 @@ let () =
           Alcotest.test_case "uart console" `Quick uart_console;
           Alcotest.test_case "power halts" `Quick power_device_halts;
           Alcotest.test_case "mailbox protocol" `Quick mailbox_protocol;
+          Alcotest.test_case "mailbox completion log bounded" `Quick
+            mailbox_completions_bounded;
         ] );
       ( "faults",
         [
@@ -1184,6 +1331,8 @@ let () =
           Alcotest.test_case "out-of-ram" `Quick oob_ram_faults;
           Alcotest.test_case "unhandled trap" `Quick unhandled_trap_stops;
           Alcotest.test_case "trap handler" `Quick trap_handler_dispatch;
+          Alcotest.test_case "trap cell patches translated code" `Quick
+            trap_cell_patches_translated_code;
         ] );
       ( "probes",
         [
@@ -1195,6 +1344,8 @@ let () =
           Alcotest.test_case "call/ret events" `Quick call_ret_probes;
           Alcotest.test_case "registration order" `Quick
             probe_registration_order;
+          Alcotest.test_case "probed and trap paths allocate nothing" `Quick
+            probed_and_trap_paths_allocate_nothing;
         ] );
       ( "engine",
         [
