@@ -15,15 +15,11 @@
    numbers replay benign syscall sequences on a real firmware so the
    probe traffic is the runtime's own.
 
-   Two A/B sections pin the fuzzing-first engine work:
+   Two sections pin the fuzzing-first engine work:
 
      toggle_storm   the hot loop with an instrumentation toggle between
-                    every 50k-insn chunk -- "legacy" emulates the old
-                    flush-per-toggle engine by calling [flush_tcg] after
-                    each toggle, "patched" is the real site-patching path
-                    (its [flushes_invalidate] must be exactly 0); the two
-                    arms are measured interleaved in pairs, best of the
-                    pairs per arm
+                    every 50k-insn chunk; the toggles patch live sites, so
+                    its [flushes_invalidate] must be exactly 0
      cmplog_gate    a fixed-seed campaign on the magic-gate firmware with
                     compare-operand coverage off vs on -- only the cmplog
                     run may pass the 32-bit-token guard
@@ -87,10 +83,10 @@ type sample = { insns : int; secs : float; rate : float; repeats : int }
 let rate_of ~insns ~secs = float_of_int insns /. secs
 
 (* Repeat [workload ()] (which returns guest insns retired) until
-   [min_secs] of wall clock have accumulated. *)
-let measure ?(min_secs = min_bench_secs) workload =
+   [min_bench_secs] of wall clock have accumulated. *)
+let measure workload =
   let insns = ref 0 and secs = ref 0.0 and repeats = ref 0 in
-  while !secs < min_secs do
+  while !secs < min_bench_secs do
     let t0 = Unix.gettimeofday () in
     let n = workload () in
     secs := !secs +. (Unix.gettimeofday () -. t0);
@@ -119,27 +115,12 @@ let run_engine engine =
   (sample, m.Machine.stats)
 
 (* The hot loop with one instrumentation toggle per [toggle_chunk] retired
-   insns: a fixed rotation over probe subscribe/unsubscribe, dirty
-   tracking and cmplog.  [legacy] emulates the old engine's behavior
-   (every toggle invalidated translations) with an explicit [flush_tcg];
-   the patched path just pokes the site table. *)
+   insns, on a fresh, warm machine: a fixed rotation over probe
+   subscribe/unsubscribe, dirty tracking and cmplog.  Returns the sample,
+   the toggle count and [flushes_invalidate]. *)
 let toggle_chunk = 50_000
 
-(* The two arms run interleaved in [toggle_pairs] pairs, alternating which
-   arm goes first, and each arm keeps its best [toggle_secs]-long sample:
-   host noise only ever slows a sample down.  Every sample boots a fresh
-   machine, because one machine's speed can stay off by up to 15% for
-   its whole life (two patched arms on long-lived machines measured
-   0.86-1.19x of each other).  A legacy flush retranslates about five
-   blocks per 50k-insn chunk, under 1% of the chunk, so the arms stay
-   within host noise of each other and this guard can still fail on a
-   noisy host. *)
-let toggle_pairs = 8
-let toggle_secs = 0.1
-
-(* One sample of one arm on a fresh, warm machine: the sample, its
-   toggle count and its [flushes_invalidate]. *)
-let toggle_sample ~legacy =
+let run_toggle_storm () =
   let arch = Arch.Arm_ev in
   let m = Machine.create ~harts:1 ~arch () in
   Machine.load_image m (hot_image ~arch);
@@ -159,12 +140,11 @@ let toggle_sample ~legacy =
             sub := None)
     | 1 -> Machine.set_dirty_tracking m on
     | _ -> Machine.set_cmplog m on);
-    incr phase;
-    if legacy then Machine.flush_tcg m
+    incr phase
   in
   let toggles = ref 0 in
   let sample =
-    measure ~min_secs:toggle_secs (fun () ->
+    measure (fun () ->
         let i0 = m.Machine.total_insns in
         while m.Machine.total_insns - i0 < hot_loop_insns do
           (match Machine.run m ~max_insns:toggle_chunk with
@@ -176,27 +156,6 @@ let toggle_sample ~legacy =
         m.Machine.total_insns - i0)
   in
   (sample, !toggles, m.Machine.stats.Engine_stats.flushes_invalidate)
-
-(* An arm's best sample over the pairs, with its toggle and
-   [flushes_invalidate] counts summed. *)
-let best_of = function
-  | [] -> invalid_arg "best_of"
-  | first :: rest ->
-      List.fold_left
-        (fun (b, t, f) (s, t', f') -> ((if s.rate > b.rate then s else b), t + t', f + f'))
-        first rest
-
-let run_toggle_storm () =
-  let pairs =
-    List.init toggle_pairs (fun i ->
-        if i land 1 = 0 then
-          let legacy = toggle_sample ~legacy:true in
-          (legacy, toggle_sample ~legacy:false)
-        else
-          let patched = toggle_sample ~legacy:false in
-          (toggle_sample ~legacy:true, patched))
-  in
-  (best_of (List.map fst pairs), best_of (List.map snd pairs))
 
 (* Fixed-seed campaign on the magic-gate firmware: without cmplog the
    mutator cannot produce the 32-bit token; with it the guest's own
@@ -260,8 +219,8 @@ let opt_json = function Some s -> sample_json s | None -> "null"
    normal machine-to-machine noise but not a real regression.  The KASAN
    floor was raised from 0.60 to 1.0 when probed accesses became
    allocation-free with an inline quiet test (measured 1.6-1.7x). *)
-let guards ~speedup ~chain_rate ~kasan_ratio ~kcsan_ratio ~toggle_ratio
-    ~patched_flushes ~gate_solved =
+let guards ~speedup ~chain_rate ~kasan_ratio ~kcsan_ratio ~toggle_flushes
+    ~gate_solved =
   [
     ("speedup_fast_vs_baseline >= 3.0", speedup >= 3.0);
     ("chain_rate >= 0.90", chain_rate >= 0.90);
@@ -269,8 +228,7 @@ let guards ~speedup ~chain_rate ~kasan_ratio ~kcsan_ratio ~toggle_ratio
       match kasan_ratio with None -> true | Some r -> r >= 1.0 );
     ( "kcsan_probed >= 2.0 x baseline",
       match kcsan_ratio with None -> true | Some r -> r >= 2.0 );
-    ("patched toggles >= 1.0 x legacy throughput", toggle_ratio >= 1.0);
-    ("toggle storm flush-free (flushes_invalidate = 0)", patched_flushes = 0);
+    ("toggle storm flush-free (flushes_invalidate = 0)", toggle_flushes = 0);
     ("cmplog solves the magic gate", gate_solved);
   ]
 
@@ -289,17 +247,10 @@ let run () =
   Option.iter (fun s -> row "kasan-probed" s "(EmbSan-D KASAN attached)") kasan;
   Option.iter (fun s -> row "kcsan-probed" s "(EmbSan-D KCSAN attached)") kcsan;
   Fmt.pr "  engine: %a@." Engine_stats.pp stats;
-  Fmt.pr "@.Toggle storm (one toggle per %dk insns, best of %d interleaved pairs)@."
-    (toggle_chunk / 1000) toggle_pairs;
-  let ( (legacy, legacy_toggles, legacy_flushes),
-        (patched, patched_toggles, patched_flushes) ) =
-    run_toggle_storm ()
-  in
-  row "legacy" legacy
-    (Fmt.str "(%d toggles, %d flushes)" legacy_toggles legacy_flushes);
-  row "patched" patched
-    (Fmt.str "(%d toggles, %d flushes, %.2fx legacy)" patched_toggles
-       patched_flushes (patched.rate /. legacy.rate));
+  Fmt.pr "@.Toggle storm (one toggle per %dk insns)@." (toggle_chunk / 1000);
+  let toggle, toggles, toggle_flushes = run_toggle_storm () in
+  row "toggle-storm" toggle
+    (Fmt.str "(%d toggles, %d flushes)" toggles toggle_flushes);
   Fmt.pr "@.Cmplog magic gate (%d execs, seed 1)@." gate_execs;
   let gate_off, off_to_bug = run_gate false in
   let gate_on, on_to_bug = run_gate true in
@@ -317,19 +268,18 @@ let run () =
   let checks =
     guards ~speedup ~chain_rate ~kasan_ratio:(ratio_of kasan)
       ~kcsan_ratio:(ratio_of kcsan)
-      ~toggle_ratio:(patched.rate /. legacy.rate)
-      ~patched_flushes
+      ~toggle_flushes
       ~gate_solved:(off_to_bug = None && on_to_bug <> None)
   in
   let int_opt = function Some e -> string_of_int e | None -> "null" in
   let json =
     Printf.sprintf
       {|{
-  "schema": "embsan-emu-bench/4",
+  "schema": "embsan-emu-bench/5",
   "workload": {
     "uninstrumented": "synthetic hot loop (stores, loads, call/ret, AMO, branches), %d insns per repeat, cache warmed",
     "probed": "benign syscall replay on %s, >= %d insns per repeat",
-    "toggle_storm": "hot loop, one instrumentation toggle per %d insns; legacy adds flush_tcg per toggle; best of %d interleaved pairs of fresh machines, >= %.1f s samples",
+    "toggle_storm": "hot loop, one instrumentation toggle per %d insns, fresh warm machine",
     "cmplog_gate": "campaign on %s, %d execs, seed 1, cmplog off vs on",
     "min_wall_secs_per_config": %.2f
   },
@@ -339,11 +289,9 @@ let run () =
   "kasan_probed": %s,
   "kcsan_probed": %s,
   "toggle_storm": {
-    "legacy": %s,
-    "patched": %s,
-    "legacy_flushes_invalidate": %d,
-    "patched_flushes_invalidate": %d,
-    "patched_vs_legacy": %.2f
+    "sample": %s,
+    "toggles": %d,
+    "flushes_invalidate": %d
   },
   "cmplog_gate": {
     "off": { "found": %d, "coverage": %d, "execs_to_bug": %s },
@@ -356,12 +304,11 @@ let run () =
 }
 |}
       hot_loop_insns Firmware_db.syzbot_suite_fw.fw_name probed_insns
-      toggle_chunk toggle_pairs toggle_secs Firmware_db.cmplog_gate_fw.fw_name
+      toggle_chunk Firmware_db.cmplog_gate_fw.fw_name
       gate_execs
       min_bench_secs (sample_json baseline) (sample_json fast) speedup
-      (opt_json kasan) (opt_json kcsan) (sample_json legacy)
-      (sample_json patched) legacy_flushes patched_flushes
-      (patched.rate /. legacy.rate)
+      (opt_json kasan) (opt_json kcsan) (sample_json toggle) toggles
+      toggle_flushes
       (List.length gate_off.r_found)
       gate_off.r_coverage (int_opt off_to_bug)
       (List.length gate_on.r_found)

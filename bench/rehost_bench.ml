@@ -46,8 +46,7 @@ let run_arm ~irq seed =
       sanitizers = Embsan.kasan_only;
       max_execs = find_budget;
       seed;
-      use_rehost = true;
-      use_irq = irq;
+      rehosting = (if irq then Campaign.Mmio_irq else Campaign.Mmio);
     }
   in
   let r = Campaign.run cfg in
@@ -107,8 +106,7 @@ let run () =
         (Campaign.default_config Firmware_db.mmio_suite_fw) with
         sanitizers = Embsan.kasan_only;
         seed = 1;
-        use_rehost = true;
-        use_irq = true;
+        rehosting = Campaign.Mmio_irq;
       }
   in
   let modeled_rate =

@@ -37,6 +37,16 @@ let find_fw name =
         (Fmt.str "unknown firmware %S; try `embsan list` for the inventory"
            name)
 
+(* --irq only means something on top of --rehost *)
+let rehosting ~rehost ~irq =
+  match (rehost, irq) with
+  | false, false -> Embsan_fuzz.Campaign.Off
+  | true, false -> Mmio
+  | true, true -> Mmio_irq
+  | false, true ->
+      Fmt.epr "--irq needs --rehost (--rehost-seed for repro)@.";
+      exit 2
+
 let fw_arg =
   let parse s = Result.map_error (fun e -> `Msg e) (find_fw s) in
   let print fmt fw = Fmt.string fmt fw.Firmware_db.fw_name in
@@ -152,6 +162,7 @@ let repro_cmd =
              from the seed, as `fuzz --rehost --irq' campaigns do.")
   in
   let run fw bug_id ftrace sched_seed rehost_seed irq =
+    let rehosting = rehosting ~rehost:(rehost_seed <> None) ~irq in
     match
       List.find_opt (fun b -> String.equal b.Defs.b_id bug_id) fw.Firmware_db.fw_bugs
     with
@@ -177,22 +188,9 @@ let repro_cmd =
         (match rehost_seed with
         | None -> ()
         | Some seed ->
-            let ctl = Embsan_rehost.Rehost.create inst.Replay.machine in
-            let root = Embsan_fuzz.Rng.create ~seed in
-            let mr =
-              Embsan_fuzz.Rng.split_stream root ~shard:0 ~stream:"mmio"
-            in
-            let irq_draw =
-              if irq then begin
-                let ir =
-                  Embsan_fuzz.Rng.split_stream root ~shard:0 ~stream:"irq"
-                in
-                Some (fun n -> Embsan_fuzz.Rng.below ir n)
-              end
-              else None
-            in
-            Embsan_rehost.Rehost.arm ?irq:irq_draw ctl
-              ~mmio:(fun () -> Embsan_fuzz.Rng.next mr));
+            Embsan_fuzz.Campaign.arm_rehost rehosting
+              (Embsan_rehost.Rehost.create inst.Replay.machine)
+              seed);
         let o = Replay.replay inst bug.b_syscalls in
         List.iter (fun r -> Fmt.pr "%a@." Report.pp r) o.o_reports;
         (match o.o_crash with
@@ -267,8 +265,7 @@ let fuzz_cmd =
         seed;
         use_cmplog = cmplog;
         use_sched = sched;
-        use_rehost = rehost;
-        use_irq = irq;
+        rehosting = rehosting ~rehost ~irq;
         sanitizers =
           (if ftrace then Embsan.with_ftrace base.sanitizers
            else base.sanitizers);
@@ -360,8 +357,7 @@ let campaign_cmd =
         seed;
         use_cmplog = cmplog;
         use_sched = sched;
-        use_rehost = rehost;
-        use_irq = irq;
+        rehosting = rehosting ~rehost ~irq;
         sanitizers =
           (if ftrace then Embsan.with_ftrace base.sanitizers
            else base.sanitizers);

@@ -4,10 +4,11 @@
    be architecturally indistinguishable, in lockstep chunks of [cfg.sync]
    retired instructions, comparing {!Snapshot}s at every sync point:
 
-   - fast-vs-baseline: same program on [Machine.Fast] and
-     [Machine.Baseline].  Single-hart only -- the engines' scheduling
-     granularity (16 chained blocks vs 1 block per hart turn) differs by
-     design, so multi-hart interleavings are not comparable;
+   - fast-vs-baseline: same program on two harts on [Machine.Fast] and
+     [Machine.Baseline], under the default round-robin rotation.  Both
+     engines end a turn at the first block boundary at or past
+     [Machine.turn_quantum] retired insns, so the interleavings must
+     coincide;
    - probe-transparency: the fast engine with no-op probes on all four
      probe kinds vs no probes.  Probes steer translated code through the
      event-building probed paths, none of which may leak into guest state
@@ -46,7 +47,7 @@
      interacts with the translation cache and the probe site table.
 
    Chunked [Machine.run] is a sound sync mechanism because both engines
-   stop at the first block boundary past the deadline and block
+   stop at the first block boundary at or past the deadline and block
    boundaries depend only on guest code, never on engine or probe
    state. *)
 
@@ -85,6 +86,14 @@ let machine_of ?(harts = 1) (p : Progen.t) =
   Machine.boot m;
   Machine.set_trap_handler m Progen.handled_trap (fun _ cpu ->
       Cpu.set cpu Reg.a0 (Cpu.get cpu Reg.a0 lxor 0x5A5A));
+  m
+
+(* A second hart at the same entry, its stack window disjoint from hart
+   0's. *)
+let two_hart_machine_of (p : Progen.t) =
+  let m = machine_of ~harts:2 p in
+  Machine.start_hart m 1 ~pc:m.Machine.entry
+    ~sp:(Ram.limit m.Machine.ram - 16 - 0x8000);
   m
 
 let nop_mem ~hart:_ ~pc:_ ~addr:_ ~size:_ ~is_write:_ ~is_atomic:_ ~value:_ = ()
@@ -139,8 +148,8 @@ let lockstep ~name ~cfg (p : Progen.t) ma mb ~between =
   go 0 cfg.max_insns
 
 let fast_vs_baseline ~cfg (p : Progen.t) =
-  let ma = machine_of p in
-  let mb = machine_of p in
+  let ma = two_hart_machine_of p in
+  let mb = two_hart_machine_of p in
   Machine.set_engine mb Machine.Baseline;
   lockstep ~name:"fast-vs-baseline" ~cfg p ma mb ~between:(fun _ -> ())
 
@@ -228,19 +237,14 @@ let toggle_storm ~cfg (p : Progen.t) =
           stop )
 
 (* Two harts running the generated program under a fuzzer-chosen schedule,
-   Fast vs Baseline.  Without an external scheduler the engines'
-   round-robin granularity differs by design (16 chained blocks vs 1
-   block per turn) and multi-hart state is not comparable; with one
-   armed, every turn boundary is a pure function of the draw stream and
-   retired-instruction counts, so the interleavings must coincide
-   exactly.  Each machine gets its own [Sched.t] and its own [Rng] with
-   the same seed: identical streams, independent state. *)
+   Fast vs Baseline.  fast-vs-baseline pins the default rotation; here
+   every turn boundary is a pure function of the draw stream and
+   retired-instruction counts instead, and the interleavings must
+   coincide just the same.  Each machine gets its own [Sched.t] and its
+   own [Rng] with the same seed: identical streams, independent state. *)
 let sched_transparency ~cfg (p : Progen.t) =
   let machine_with_sched engine =
-    let m = machine_of ~harts:2 p in
-    (* hart 1: same entry, stack window disjoint from hart 0's *)
-    Machine.start_hart m 1 ~pc:m.Machine.entry
-      ~sp:(Ram.limit m.Machine.ram - 16 - 0x8000);
+    let m = two_hart_machine_of p in
     Machine.set_engine m engine;
     let ctl = Embsan_sched.Sched.create m in
     let r = Rng.create ~seed:(p.p_seed + 0x5C4ED) in

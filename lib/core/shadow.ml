@@ -100,11 +100,12 @@ type verdict = Valid | Invalid of code
 
 (** Validate an access of [size] (1/2/4) bytes at [addr].  Accesses outside
     guest RAM are not the shadow's business (MMIO and fault logic handle
-    them). *)
+    them), and neither is the part of an access past the end of RAM: the
+    machine faults it. *)
 let check t ~addr ~size =
   if not (covers t addr) then Valid
   else begin
-    let last = addr + size - 1 in
+    let last = min (addr + size - 1) (t.limit - 1) in
     let sh = Bytes.get_uint8 t.kasan (index t last) in
     if sh = 0 then
       (* fast path: access may still start in a different, poisoned granule *)

@@ -107,7 +107,8 @@ type t = {
   mutable external_cost : int; (* host-side sanitizer cost units *)
   mutable next_hart : int;
   mutable entry : int;
-  mutable sched : scheduler option;
+  mutable sched : scheduler;
+  mutable turn_end : int; (* set by [sched]: deadline of the turn it picks *)
   mutable rehost : rehost option;
   mutable irq_entry : int;
       (* guest interrupt stub entry pc (Hypercall.irq_register); -1 = none *)
@@ -122,13 +123,32 @@ and handler = t -> Cpu.t -> unit
    already-translated code sees the change without a flush. *)
 and trap_cell = { mutable trap : handler option }
 
-(* External hart scheduler: pick the next hart to run and the absolute
-   [total_insns] deadline of its turn, or [None] when no hart is runnable
-   (the run loop then applies its usual stall/deadlock handling).  [None]
-   in the field selects the built-in round-robin rotation. *)
-and scheduler = t -> (Cpu.t * int) option
+(* Hart scheduler: the index of the next hart to run, with [turn_end] set
+   to the absolute [total_insns] deadline of its turn, or -1 when no hart
+   is runnable.  An index and a field, so a turn allocates nothing. *)
+and scheduler = t -> int
 
 exception Trap_unhandled of int * int (* pc, num *)
+
+let runnable t (cpu : Cpu.t) =
+  cpu.status = Running && cpu.stall_until <= t.total_insns
+
+let turn_quantum = 64
+
+(* The default scheduler: the first runnable hart from [next_hart], for
+   [turn_quantum] retired insns on either engine. *)
+let rec round_robin_from t k =
+  let n = Array.length t.harts in
+  if k >= n then -1
+  else
+    let id = (t.next_hart + k) mod n in
+    if runnable t t.harts.(id) then begin
+      t.turn_end <- t.total_insns + turn_quantum;
+      id
+    end
+    else round_robin_from t (k + 1)
+
+let round_robin t = round_robin_from t 0
 
 let ram_base t = Ram.base t.ram
 let ram_size t = Ram.size t.ram
@@ -172,7 +192,8 @@ let create ?(harts = 2) ?(ram_base = 0x0001_0000) ?(ram_size = 4 * 1024 * 1024)
         external_cost = 0;
         next_hart = 0;
         entry = 0;
-        sched = None;
+        sched = round_robin;
+        turn_end = 0;
         rehost = None;
         irq_entry = -1;
       }
@@ -987,15 +1008,6 @@ let exec_ops t (b : block) (cpu : Cpu.t) =
     cpu.insns <- cpu.insns - b.b_insns + ran_insns;
     raise e
 
-(* Blocks executed per hart turn.  The chain budget is a constant so the
-   schedule depends only on guest control flow and retired-insn counts --
-   never on probe subscriptions or translation-cache state -- which is
-   what makes probed and unprobed executions architecturally identical
-   (the differential-semantics test pins this).  A turn therefore spans
-   exactly [chain_limit] blocks unless the hart stops, stalls or reaches
-   its deadline. *)
-let chain_limit = 16
-
 (* Returns the link's own option, so a chained transfer allocates
    nothing. *)
 let link_lookup (b : block) pc gen =
@@ -1017,90 +1029,62 @@ let link_set (b : block) pc nb =
       b.l1_pc <- pc;
       b.l1 <- Some nb
 
-let rec chain_exec t (cpu : Cpu.t) b budget ~deadline =
-  exec_ops t b cpu;
-  let budget = budget - 1 in
-  if
-    budget > 0
-    && t.total_insns < deadline
-    && cpu.status = Running
-    && cpu.stall_until <= t.total_insns
-  then begin
+(* A hart turn, on either engine: run blocks until the first block
+   boundary at or past [deadline], or until the hart stops or stalls.
+   Fast follows chain links and batches accounting; Baseline looks every
+   block up and runs its per-instruction ops. *)
+let rec turn_from t (cpu : Cpu.t) b ~deadline =
+  (match t.engine with
+  | Fast -> exec_ops t b cpu
+  | Baseline ->
+      let ops = b.b_ops in
+      for i = 0 to Array.length ops - 1 do
+        ops.(i) cpu
+      done);
+  if t.total_insns < deadline && runnable t cpu then begin
     let pc = cpu.pc in
     if Probe.has_blocks t.probes then
       Probe.fire_block t.probes ~hart:cpu.id ~pc;
     let nb =
-      match link_lookup b pc t.tcg_gen with
-      | Some nb ->
-          t.stats.chained <- t.stats.chained + 1;
-          nb
-      | None ->
-          let nb = lookup_block t pc in
-          link_set b pc nb;
-          nb
+      match t.engine with
+      | Baseline -> lookup_block t pc
+      | Fast -> (
+          match link_lookup b pc t.tcg_gen with
+          | Some nb ->
+              t.stats.chained <- t.stats.chained + 1;
+              nb
+          | None ->
+              let nb = lookup_block t pc in
+              link_set b pc nb;
+              nb)
     in
-    chain_exec t cpu nb budget ~deadline
+    turn_from t cpu nb ~deadline
   end
 
 let exec_turn t (cpu : Cpu.t) ~deadline =
   if Probe.has_blocks t.probes then
     Probe.fire_block t.probes ~hart:cpu.id ~pc:cpu.pc;
-  let b = lookup_block t cpu.pc in
-  chain_exec t cpu b chain_limit ~deadline
-
-(* Baseline engine: one hashtable lookup and one block per turn. *)
-let exec_block_baseline t (cpu : Cpu.t) =
-  let pc = cpu.pc in
-  if Probe.has_blocks t.probes then
-    Probe.fire_block t.probes ~hart:cpu.id ~pc;
-  let block = lookup_block t pc in
-  let ops = block.b_ops in
-  for i = 0 to Array.length ops - 1 do
-    ops.(i) cpu
-  done
-
-let step t cpu ~deadline =
-  match t.engine with
-  | Fast -> exec_turn t cpu ~deadline
-  | Baseline -> exec_block_baseline t cpu
-
-let runnable t (cpu : Cpu.t) =
-  cpu.status = Running && cpu.stall_until <= t.total_insns
+  turn_from t cpu (lookup_block t cpu.pc) ~deadline
 
 let set_sched t sched = t.sched <- sched
 
-(** Run until a stop condition.  [until] is checked between hart turns and
-    makes the machine pause (reported as [Budget_exhausted]?  no: returns
-    [None]).  Returns [Some stop] for a definitive machine stop, [None]
-    when [until] fired or all work is done without halting. *)
+(** Run until a stop condition.  [until] is checked between hart turns,
+    which [t.sched] picks.  Returns [Some stop] for a definitive machine
+    stop, [None] when [until] fired. *)
 let run_slice t ~max_insns ~(until : unit -> bool) =
   let deadline = t.total_insns + max_insns in
   let n = Array.length t.harts in
-  (* built-in rotation: the first runnable hart from [next_hart], or -1;
-     an index rather than an option, so a turn allocates nothing *)
-  let rec pick k =
-    if k >= n then -1
-    else
-      let id = (t.next_hart + k) mod n in
-      if runnable t t.harts.(id) then id else pick (k + 1)
-  in
   let rec loop idle_rounds =
     if until () then None
     else if t.total_insns >= deadline then Some Budget_exhausted
     else
-      (* pick next runnable hart: external scheduler when armed (with its
-         own per-turn deadline, clamped to the slice), else round-robin *)
-      match t.sched with
-      | Some sched -> (
-          match sched t with
-          | Some (cpu, turn_end) -> turn cpu (min turn_end deadline)
-          | None -> idle idle_rounds)
-      | None ->
-          let id = pick 0 in
-          if id >= 0 then turn t.harts.(id) deadline else idle idle_rounds
+      (* the scheduler's turn deadline is clamped to the slice *)
+      let id = t.sched t in
+      if id >= 0 then turn t.harts.(id) (min t.turn_end deadline)
+      else idle idle_rounds
   and turn (cpu : Cpu.t) turn_deadline =
     t.next_hart <- (cpu.id + 1) mod n;
-    match step t cpu ~deadline:turn_deadline with
+    match exec_turn t cpu ~deadline:turn_deadline with
     | () -> loop 0
     | exception Fault.Halted code -> Some (Halted code)
     | exception Fault.Memory_fault (acc, reason) -> Some (Fault (acc, reason))

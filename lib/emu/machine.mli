@@ -72,8 +72,9 @@ type t = {
   mutable external_cost : int;  (** host-side sanitizer cost units *)
   mutable next_hart : int;
   mutable entry : int;
-  mutable sched : scheduler option;
-      (** external hart scheduler; [None] = built-in round-robin *)
+  mutable sched : scheduler;
+      (** hart scheduler; {!round_robin} unless another is armed *)
+  mutable turn_end : int;  (** set by [sched], see {!scheduler} *)
   mutable rehost : rehost option;
       (** model-free MMIO rehosting hook; [None] = unmapped accesses
           fault *)
@@ -88,15 +89,14 @@ and handler = t -> Cpu.t -> unit
     cell, resolved when the block is translated. *)
 and trap_cell
 
-(** External hart scheduler: pick the next hart to run and the absolute
-    [total_insns] deadline of its turn (clamped to the enclosing slice
-    deadline), or [None] when no hart is runnable — the run loop then
-    applies its usual stall-advance/deadlock handling.  Both engines stop
-    a turn at the first block boundary at or past the turn deadline, and
-    block boundaries depend only on guest code, so a given scheduler
-    produces the same interleaving on [Fast] and [Baseline] (pinned by
-    the sched-transparency oracle). *)
-and scheduler = t -> (Cpu.t * int) option
+(** Hart scheduler, consulted for every turn: the index of the next hart
+    to run, with [turn_end] set to the absolute [total_insns] deadline of
+    its turn (clamped to the slice), or -1 when no hart is runnable.  Both
+    engines run blocks until the first block boundary at or past the
+    deadline, or until the hart stops or stalls; block boundaries depend
+    only on guest code, so a scheduler interleaves harts identically on
+    [Fast] and [Baseline]. *)
+and scheduler = t -> int
 
 exception Trap_unhandled of int * int
 
@@ -146,8 +146,12 @@ val set_trap_handler : t -> int -> handler -> unit
 val remove_trap_handler : t -> int -> unit
 val has_trap_handler : t -> int -> bool
 
-(** Arm (or, with [None], disarm) the external hart scheduler. *)
-val set_sched : t -> scheduler option -> unit
+(** The default scheduler: the first runnable hart from [next_hart], for
+    [turn_quantum] retired insns. *)
+val round_robin : scheduler
+
+val turn_quantum : int
+val set_sched : t -> scheduler -> unit
 
 (** Install (or, with [None], remove) the model-free rehosting hook.  The
     hook is consulted only on the unmapped-MMIO slow paths, which the

@@ -20,6 +20,8 @@ module Snap = Embsan_snap.Snap
 module Sched = Embsan_sched.Sched
 module Rehost = Embsan_rehost.Rehost
 
+type rehosting = Off | Mmio | Mmio_irq
+
 type config = {
   fw : Firmware_db.firmware;
   sanitizers : Embsan.sanitizers;
@@ -38,16 +40,13 @@ type config = {
          part of the input.  Off by default: the schedule stream is
          derived without advancing the main rng, so existing seeded
          trajectories stay pinned either way. *)
-  use_rehost : bool;
+  rehosting : rehosting;
       (* model-free MMIO rehosting (lib/rehost): unmapped-MMIO reads are
          served from a per-exec seeded stream behind a (pc, addr) memo
-         table.  The rehost seed rides the corpus entry like the schedule
-         seed, from its own non-advancing Rng stream. *)
-  use_irq : bool;
-      (* fuzzer-scheduled interrupt injection on top of [use_rehost]: the
-         per-exec rehost seed also draws an injection plan ("irq" stream)
-         vectoring the guest's registered stub at chosen retirement
-         points. *)
+         table, and under [Mmio_irq] the same seed also draws an
+         interrupt injection plan ("irq" stream).  The rehost seed rides
+         the corpus entry like the schedule seed, from its own
+         non-advancing Rng stream. *)
 }
 
 let default_config fw =
@@ -60,8 +59,7 @@ let default_config fw =
     use_snapshots = true;
     use_cmplog = false;
     use_sched = false;
-    use_rehost = false;
-    use_irq = false;
+    rehosting = Off;
   }
 
 type found = {
@@ -136,7 +134,7 @@ let boot_with_coverage cfg cov =
 (* Arm (or disarm) a throwaway scheduler on [machine] for one replay:
    the schedule seed fully determines the draw stream. *)
 let arm_schedule machine = function
-  | None -> Machine.set_sched machine None
+  | None -> Machine.set_sched machine Machine.round_robin
   | Some seed ->
       let ctl = Sched.create machine in
       let r = Rng.create ~seed in
@@ -146,11 +144,11 @@ let arm_schedule machine = function
    out into the "mmio" response stream and (when injection is on) the
    "irq" plan stream via [Rng.split_stream], so confirmation replays and
    shrinking redraw the exact per-exec streams from the seed alone. *)
-let arm_rehost ~use_irq ctl seed =
+let arm_rehost rehosting ctl seed =
   let root = Rng.create ~seed in
   let mr = Rng.split_stream root ~shard:0 ~stream:"mmio" in
   let irq =
-    if use_irq then begin
+    if rehosting = Mmio_irq then begin
       let ir = Rng.split_stream root ~shard:0 ~stream:"irq" in
       Some (fun n -> Rng.below ir n)
     end
@@ -166,7 +164,7 @@ let reboot_repro cfg bug ?sched ?rehost calls =
       (match rehost with
       | None -> ()
       | Some seed ->
-          arm_rehost ~use_irq:cfg.use_irq
+          arm_rehost cfg.rehosting
             (Rehost.create inst.Replay.machine)
             seed);
       Replay.detects bug (Replay.replay inst calls)
@@ -261,7 +259,7 @@ module Engine = struct
       else None
     in
     let rehost_rng =
-      if cfg.use_rehost then
+      if cfg.rehosting <> Off then
         Some (Rng.split_stream rng ~shard:0 ~stream:"rehost")
       else None
     in
@@ -274,7 +272,7 @@ module Engine = struct
        checkpoint below so [Snap.capture] carries the rehost blob and
        restores revert memo/plan state (see lib/rehost) *)
     let rehost_ctl =
-      if cfg.use_rehost then Some (Rehost.create inst.Replay.machine)
+      if cfg.rehosting <> Off then Some (Rehost.create inst.Replay.machine)
       else None
     in
     (* Persistent-mode checkpoint: capture once post-boot and revert to it
@@ -297,7 +295,7 @@ module Engine = struct
           | None ->
               let i = boot_build cfg in
               let rc =
-                if cfg.use_rehost then Some (Rehost.create i.Replay.machine)
+                if cfg.rehosting <> Off then Some (Rehost.create i.Replay.machine)
                 else None
               in
               let s = Snap.capture ?runtime:i.Replay.rt i.Replay.machine in
@@ -309,7 +307,7 @@ module Engine = struct
             ignore (Snap.restore s : int);
             arm_schedule i.Replay.machine sched;
             (match (rc, rehost) with
-            | Some c, Some seed -> arm_rehost ~use_irq:cfg.use_irq c seed
+            | Some c, Some seed -> arm_rehost cfg.rehosting c seed
             | Some c, None -> Rehost.disarm c
             | None, _ -> ());
             let before = List.length (Report.unique_reports i.Replay.sink) in
@@ -364,7 +362,7 @@ module Engine = struct
               f_prog = repro;
               f_sched = rsched;
               f_rehost = rrehost;
-              f_irq = e.cfg.use_irq && rrehost <> None;
+              f_irq = e.cfg.rehosting = Mmio_irq && rrehost <> None;
               f_confirmed = true;
             }
         | None ->
@@ -374,7 +372,7 @@ module Engine = struct
               f_prog = prog;
               f_sched = sched;
               f_rehost = rehost;
-              f_irq = e.cfg.use_irq && rehost <> None;
+              f_irq = e.cfg.rehosting = Mmio_irq && rehost <> None;
               f_confirmed = false;
             }
       in
@@ -417,7 +415,7 @@ module Engine = struct
     | Some ctl -> (
         match rehost with
         | None -> Rehost.disarm ctl
-        | Some seed -> arm_rehost ~use_irq:e.cfg.use_irq ctl seed));
+        | Some seed -> arm_rehost e.cfg.rehosting ctl seed));
     Coverage.reset_edges e.cov;
     if e.cfg.use_cmplog then Cmplog.reset e.inst.machine.Machine.cmplog;
     e.history <-

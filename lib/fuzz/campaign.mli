@@ -6,6 +6,16 @@
 
 open Embsan_guest
 
+(** Model-free MMIO rehosting ({!Embsan_rehost.Rehost}): [Mmio] serves
+    reads from unmapped MMIO ranges from a per-exec seeded stream behind
+    a (pc, addr) memoization table, so firmware with no hand-written
+    device model still runs; [Mmio_irq] also draws an interrupt injection
+    plan (the ["irq"] stream) from the same seed.  The rehost seed rides
+    the corpus entry and reproducers like the schedule seed, from a
+    dedicated non-advancing [Rng.split_stream] stream — trajectories with
+    rehosting [Off] stay pinned. *)
+type rehosting = Off | Mmio | Mmio_irq
+
 type config = {
   fw : Firmware_db.firmware;
   sanitizers : Embsan_core.Embsan.sanitizers;
@@ -30,20 +40,7 @@ type config = {
           entry and of reproducers (mutated, minimized), and the main
           mutation stream is never touched — so trajectories with
           [use_sched = false] stay pinned.  Off by default. *)
-  use_rehost : bool;
-      (** model-free MMIO rehosting ({!Embsan_rehost.Rehost}): reads from
-          unmapped MMIO ranges are served from a per-exec seeded stream
-          behind a (pc, addr) memoization table, so firmware with no
-          hand-written device model still runs.  The rehost seed rides
-          the corpus entry and reproducers exactly like the schedule
-          seed, from a dedicated non-advancing [Rng.split_stream] stream
-          — trajectories with [use_rehost = false] stay pinned.  Off by
-          default. *)
-  use_irq : bool;
-      (** fuzzer-scheduled interrupt injection on top of [use_rehost]:
-          the per-exec rehost seed also draws an injection plan (the
-          ["irq"] stream) that vectors the guest's registered interrupt
-          stub at chosen retirement points.  Off by default. *)
+  rehosting : rehosting;  (** [Off] by default *)
 }
 
 val default_config : Firmware_db.firmware -> config
@@ -60,8 +57,9 @@ type found = {
           rehost layer; minimization tries dropping it before the
           schedule seed) *)
   f_irq : bool;
-      (** the rehost replay also injects interrupts ([repro] needs
-          [--irq] alongside [--rehost-seed]) *)
+      (** the rehost replay also injects interrupts: [f_rehost] is set
+          under [Mmio_irq] ([repro] needs [--irq] alongside
+          [--rehost-seed]) *)
   f_confirmed : bool;  (** reproduced on a fresh instance *)
 }
 
@@ -130,6 +128,14 @@ module Engine : sig
 end
 
 val run : config -> result
+
+(** Arm a rehost controller from a rehost seed, as campaigns do: MMIO
+    responses, plus the injection plan under [Mmio_irq]. *)
+val arm_rehost : rehosting -> Embsan_rehost.Rehost.t -> int -> unit
+
+(** Boot the campaign's build of [cfg.fw] with its coverage front-end
+    (guest kcov or Tardis) attached to [cov]. *)
+val boot_with_coverage : config -> Embsan_emu.Coverage.t -> Replay.instance
 
 (** Filter the corpus to programs that neither report nor crash, iterated
     to a fixpoint (dropping a program changes allocator state for the

@@ -35,8 +35,8 @@ type t = {
   mutable plan : int list; (* pending absolute injection points *)
   mutable in_irq : bool;
   mutable saved : saved option; (* interrupted context, host-side *)
-  mutable inner : Machine.scheduler option; (* captured at arm *)
-  mutable wrapper : Machine.scheduler option; (* installed, for ==-guards *)
+  mutable inner : Machine.scheduler; (* captured at arm *)
+  mutable wrapper : Machine.scheduler; (* installed, for ==-guards *)
 }
 
 let default_covers addr = addr >= 0xE000_0000 && addr < 0xF000_0000
@@ -90,20 +90,6 @@ let rh_restore t blob =
 
 (* --- interrupt injection --------------------------------------------------- *)
 
-(* Replicate the machine's built-in rotation exactly (run_slice updates
-   [next_hart] and clamps our deadline to the slice, so returning
-   [max_int] is the built-in "run to the slice deadline"). *)
-let round_robin (m : Machine.t) =
-  let harts = m.Machine.harts in
-  let n = Array.length harts in
-  let rec pick k =
-    if k >= n then None
-    else
-      let cpu = harts.((m.Machine.next_hart + k) mod n) in
-      if Machine.runnable m cpu then Some (cpu, max_int) else pick (k + 1)
-  in
-  pick 0
-
 let inject t (m : Machine.t) (cpu : Cpu.t) =
   t.saved <-
     Some
@@ -118,27 +104,24 @@ let inject t (m : Machine.t) (cpu : Cpu.t) =
     m.Machine.stats.Engine_stats.irq_injected + 1
 
 (* Scheduler wrapper: delegate the pick to the scheduler captured at arm
-   time (or the built-in rotation), then [a] vector the picked hart to
-   the interrupt stub when the previous turn carried us to or past the
-   next injection point, and [b] clamp the turn deadline to the next
-   pending point so both engines first observe the crossing at the same
-   block boundary. *)
+   time, then [a] vector the picked hart to the interrupt stub when the
+   previous turn carried us to or past the next injection point, and [b]
+   clamp the turn deadline to the next pending point so both engines
+   first observe the crossing at the same block boundary. *)
 let hook t (m : Machine.t) =
-  match (match t.inner with Some s -> s m | None -> round_robin m) with
-  | None -> None
-  | Some (cpu, turn_end) ->
-      (match t.plan with
-      | p :: rest when (not t.in_irq) && m.Machine.total_insns >= p ->
-          t.plan <- rest;
-          (* without a registered stub the point is just discarded *)
-          if m.Machine.irq_entry >= 0 then inject t m cpu
-      | _ -> ());
-      let turn_end =
-        match t.plan with
-        | p :: _ when not t.in_irq -> min turn_end p
-        | _ -> turn_end
-      in
-      Some (cpu, turn_end)
+  let id = t.inner m in
+  if id >= 0 then begin
+    (match t.plan with
+    | p :: rest when (not t.in_irq) && m.Machine.total_insns >= p ->
+        t.plan <- rest;
+        (* without a registered stub the point is just discarded *)
+        if m.Machine.irq_entry >= 0 then inject t m m.Machine.harts.(id)
+    | _ -> ());
+    match t.plan with
+    | p :: _ when not t.in_irq -> m.Machine.turn_end <- min m.Machine.turn_end p
+    | _ -> ()
+  end;
+  id
 
 (* End-of-interrupt: restore the saved context and resume at the
    interrupted pc.  The trap sits mid-block and the block's remaining
@@ -167,8 +150,8 @@ let create machine =
       plan = [];
       in_irq = false;
       saved = None;
-      inner = None;
-      wrapper = None;
+      inner = Machine.round_robin;
+      wrapper = Machine.round_robin;
     }
   in
   Machine.set_rehost machine
@@ -199,13 +182,14 @@ let draw_plan t irq_draw =
 
 (* Remove the scheduler wrapper, restoring the scheduler captured at arm
    time.  Guarded by physical equality: if someone re-armed the
-   machine's scheduler after us, their choice stands. *)
+   machine's scheduler after us, their choice stands.  With no wrapper
+   installed both fields are [Machine.round_robin], and so is the
+   restore. *)
 let unwrap t =
-  (match (t.wrapper, t.machine.Machine.sched) with
-  | Some w, Some cur when w == cur -> Machine.set_sched t.machine t.inner
-  | _ -> ());
-  t.wrapper <- None;
-  t.inner <- None
+  if t.wrapper == t.machine.Machine.sched then
+    Machine.set_sched t.machine t.inner;
+  t.wrapper <- Machine.round_robin;
+  t.inner <- Machine.round_robin
 
 let arm ?(covers = default_covers) ?irq t ~mmio =
   unwrap t;
@@ -221,9 +205,8 @@ let arm ?(covers = default_covers) ?irq t ~mmio =
   | Some irq_draw ->
       t.plan <- draw_plan t irq_draw;
       t.inner <- t.machine.Machine.sched;
-      let w = hook t in
-      t.wrapper <- Some w;
-      Machine.set_sched t.machine (Some w)
+      t.wrapper <- hook t;
+      Machine.set_sched t.machine t.wrapper
 
 let disarm t =
   unwrap t;

@@ -3,7 +3,8 @@
    with seeded, fuzzer-chosen preemption points, so concurrency bugs are
    searched for instead of stumbled on.
 
-   The scheduler plugs into the public [Machine.set_sched] hook.  Every
+   The scheduler replaces [Machine.round_robin] through the public
+   [Machine.set_sched] hook.  Every
    decision is a pure function of the draw stream and the machine's
    architectural progress ([total_insns] and per-hart runnability), both
    of which are engine-invariant: Fast and Baseline stop each turn at the
@@ -69,13 +70,13 @@ let prio_quantum = 64
 let min_slice_shift = 4 (* slices are 16 lsl (0..5) = 16..512 insns *)
 let slice_shifts = 6
 
+(* Index of the [k]-th runnable hart; there are more than [k]. *)
 let nth_runnable m k =
   let harts = m.Machine.harts in
   let rec go i k =
-    if i >= Array.length harts then None
-    else if Machine.runnable m harts.(i) then
-      if k = 0 then Some i else go (i + 1) (k - 1)
-    else go (i + 1) k
+    if not (Machine.runnable m harts.(i)) then go (i + 1) k
+    else if k = 0 then i
+    else go (i + 1) (k - 1)
   in
   go 0 k
 
@@ -95,21 +96,21 @@ let hook t (m : Machine.t) =
   let harts = m.Machine.harts in
   match t.policy with
   | Slices ->
+      (* a new slice once the current one ran out or its hart stopped *)
       if
-        t.cur >= 0
-        && m.Machine.total_insns < t.slice_end
-        && Machine.runnable m harts.(t.cur)
-      then Some (harts.(t.cur), t.slice_end)
-      else begin
-        match count_runnable m with
-        | 0 -> None
-        | k -> (
-            match nth_runnable m (t.draw k) with
-            | None -> None (* unreachable: k counted runnables *)
-            | Some hart ->
-                start_slice t hart;
-                Some (harts.(hart), t.slice_end))
+        not
+          (t.cur >= 0
+          && m.Machine.total_insns < t.slice_end
+          && Machine.runnable m harts.(t.cur))
+      then begin
+        let k = count_runnable m in
+        if k > 0 then start_slice t (nth_runnable m (t.draw k))
+      end;
+      if t.cur >= 0 && Machine.runnable m harts.(t.cur) then begin
+        m.Machine.turn_end <- t.slice_end;
+        t.cur
       end
+      else -1
   | Priorities ->
       let n = Array.length harts in
       if m.Machine.total_insns >= t.next_change then begin
@@ -123,8 +124,7 @@ let hook t (m : Machine.t) =
           && (!best < 0 || t.prio.(i) > t.prio.(!best))
         then best := i
       done;
-      if !best < 0 then None
-      else begin
+      if !best >= 0 then begin
         if !best <> t.cur then begin
           t.switches <- t.switches + 1;
           t.cur <- !best;
@@ -133,9 +133,10 @@ let hook t (m : Machine.t) =
         (* never let a turn cross the next change point: both engines then
            first observe the crossing at the same block boundary, keeping
            redraw times engine-invariant *)
-        Some
-          (harts.(!best), min (m.Machine.total_insns + prio_quantum) t.next_change)
-      end
+        m.Machine.turn_end <-
+          min (m.Machine.total_insns + prio_quantum) t.next_change
+      end;
+      !best
 
 (** Arm the scheduler on its machine with a fresh draw stream, resetting
     all decision state (so the same seed always replays the same
@@ -159,12 +160,12 @@ let arm ?policy t ~draw =
       done;
       t.change_gap <- 2048 + draw 4096;
       t.next_change <- t.machine.Machine.total_insns + t.change_gap);
-  Machine.set_sched t.machine (Some (hook t))
+  Machine.set_sched t.machine (hook t)
 
-(** Restore the machine's built-in round-robin rotation. *)
-let disarm t = Machine.set_sched t.machine None
+(** Install [Machine.round_robin] again. *)
+let disarm t = Machine.set_sched t.machine Machine.round_robin
 
-let armed t = t.machine.Machine.sched <> None
+let armed t = t.machine.Machine.sched != Machine.round_robin
 let policy t = t.policy
 
 let stats t =

@@ -23,9 +23,11 @@ val create : Embsan_emu.Machine.t -> t
     from the stream (1-in-4 priorities). *)
 val arm : ?policy:policy -> t -> draw:(int -> int) -> unit
 
-(** Restore the machine's built-in round-robin rotation. *)
+(** Install the machine's default scheduler, [Machine.round_robin], again:
+    [Machine.turn_quantum] retired insns per hart turn on both engines. *)
 val disarm : t -> unit
 
+(** Does the machine run a scheduler other than [Machine.round_robin]? *)
 val armed : t -> bool
 val policy : t -> policy
 

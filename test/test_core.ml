@@ -145,6 +145,30 @@ let shadow_cross_granule_start () =
   | Shadow.Invalid Shadow.Freed -> ()
   | _ -> Alcotest.fail "start-granule poison must be caught"
 
+(* A KASAN-checked access that starts inside RAM and ends past it stops as
+   the machine's beyond-RAM fault: the shadow check reads no shadow byte
+   past the end of RAM, so nothing escapes [Machine.run]. *)
+let kasan_straddling_ram_end_faults () =
+  let ram_base = 0x1_0000 and ram_size = 0x2000 in
+  let lim = ram_base + ram_size in
+  let text =
+    Asm.[ Label "main"; li Reg.t0 (lim - 2); load W32 Reg.t1 Reg.t0 0; halt ]
+  in
+  let img =
+    Asm.assemble ~arch:Arch.Arm_ev ~text_base:ram_base ~entry:"main"
+      [ { Asm.unit_name = "t"; text; data = [] } ]
+  in
+  let m = Machine.create ~harts:1 ~ram_base ~ram_size ~arch:Arch.Arm_ev () in
+  Machine.load_image m img;
+  Machine.boot m;
+  let spec = Distiller.distill [ Api_spec.kasan () ] in
+  ignore (Runtime.attach ~spec ~mode:Runtime.D m : Runtime.t);
+  (* EmbSan-D checks accesses once the guest signals ready *)
+  m.mailbox.on_ready ();
+  match Machine.run m ~max_insns:100 with
+  | Machine.Fault (acc, "access beyond RAM") when acc.addr = lim - 2 -> ()
+  | s -> Alcotest.failf "expected a beyond-RAM fault, got %a" Machine.pp_stop s
+
 let shadow_qcheck =
   let open QCheck2 in
   let gen =
@@ -1214,6 +1238,8 @@ let () =
           Alcotest.test_case "poison/unpoison/check" `Quick shadow_basics;
           Alcotest.test_case "partial granule" `Quick shadow_partial_granule;
           Alcotest.test_case "cross-granule start" `Quick shadow_cross_granule_start;
+          Alcotest.test_case "probed load straddling the RAM end faults" `Quick
+            kasan_straddling_ram_end_faults;
           QCheck_alcotest.to_alcotest shadow_qcheck;
           Alcotest.test_case "encoding byte round-trip" `Quick
             shadow_byte_roundtrip;

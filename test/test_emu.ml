@@ -874,11 +874,13 @@ let engine_stats_json_roundtrip () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "schema mismatch accepted")
 
-(* A Fast hart turn is [chain_limit] = 16 chained blocks, however hot the
-   blocks are: hart 0 runs a 503-iteration self-loop and then spins, hart
-   1 spins, and every turn but the last (cut by the slice deadline) must
-   span exactly 16 block-probe events. *)
-let two_hart_turns_are_chain_limit () =
+(* A hart turn of the default rotation ends at the first block boundary
+   at or past [Machine.turn_quantum] retired insns, however hot the blocks
+   are, on both engines: hart 0 runs a 503-iteration self-loop and then
+   spins, hart 1 spins, and every turn but the last (cut by the slice
+   deadline) must end there.  The (hart, insns) stream of block starts is
+   the same on Fast and Baseline. *)
+let two_hart_turns_are_one_quantum () =
   let open Asm in
   let text =
     [
@@ -894,32 +896,50 @@ let two_hart_turns_are_chain_limit () =
       j "side";
     ]
   in
-  let m, img = assemble_and_load [ unit_ text [] ] in
-  Machine.start_hart m 1 ~pc:(Image.symbol_addr_exn img "side")
-    ~sp:(Machine.ram_base m + Machine.ram_size m - 4096);
-  let events = ref [] in
-  Probe.on_block m.probes (fun ~hart ~pc:_ -> events := hart :: !events);
-  Alcotest.check check_stop "budget stop" Machine.Budget_exhausted
-    (Machine.run m ~max_insns:5_000);
-  (* run-length encode the hart stream into (hart, events) turns *)
+  let block_starts engine =
+    let m, img = assemble_and_load [ unit_ text [] ] in
+    Machine.set_engine m engine;
+    Machine.start_hart m 1 ~pc:(Image.symbol_addr_exn img "side")
+      ~sp:(Machine.ram_base m + Machine.ram_size m - 4096);
+    let events = ref [] in
+    Probe.on_block m.probes (fun ~hart ~pc:_ ->
+        events := (hart, m.total_insns) :: !events);
+    Alcotest.check check_stop "budget stop" Machine.Budget_exhausted
+      (Machine.run m ~max_insns:5_000);
+    Alcotest.(check bool) "hart 0 left the loop" true
+      (Machine.(m.harts.(0).Cpu.pc) = Image.symbol_addr_exn img "spin0");
+    List.rev !events
+  in
+  let fast = block_starts Machine.Fast in
+  Alcotest.(check (list (pair int int)))
+    "same block starts on Baseline" fast
+    (block_starts Machine.Baseline);
+  (* group the stream into turns: (hart, block start insns, newest first) *)
   let turns =
     List.fold_left
-      (fun acc h ->
+      (fun acc (h, at) ->
         match acc with
-        | (h', n) :: rest when h' = h -> (h, n + 1) :: rest
-        | _ -> (h, 1) :: acc)
-      [] (List.rev !events)
+        | (h', starts) :: rest when h' = h -> (h, at :: starts) :: rest
+        | _ -> (h, [ at ]) :: acc)
+      [] fast
     |> List.rev
   in
-  Alcotest.(check bool) "hart 0 left the loop" true
-    (Machine.(m.harts.(0).Cpu.pc) = Image.symbol_addr_exn img "spin0");
   Alcotest.(check bool) "both harts ran" true
     (List.exists (fun (h, _) -> h = 1) turns);
-  List.iteri
-    (fun i (h, n) ->
-      if i < List.length turns - 1 && n <> 16 then
-        Alcotest.failf "turn %d (hart %d) spans %d blocks, expected 16" i h n)
-    turns
+  let q = Machine.turn_quantum in
+  let rec check i = function
+    | (h, starts) :: ((_, next) :: _ as rest) ->
+        let first = List.hd (List.rev starts) and last = List.hd starts in
+        let ended = List.hd (List.rev next) in
+        if not (last < first + q && ended >= first + q) then
+          Alcotest.failf
+            "turn %d (hart %d) started at %d, entered its last block at %d \
+             and ended at %d; quantum %d"
+            i h first last ended q;
+        check (i + 1) rest
+    | _ -> ()
+  in
+  check 0 turns
 
 let cmplog_compare_coverage () =
   (* branch/compare sites record operand triples when enabled: the magic
@@ -1358,8 +1378,8 @@ let () =
           Alcotest.test_case "stats counters" `Quick engine_stats_counters;
           Alcotest.test_case "stats JSON round-trip" `Quick
             engine_stats_json_roundtrip;
-          Alcotest.test_case "two-hart turns are chain_limit blocks" `Quick
-            two_hart_turns_are_chain_limit;
+          Alcotest.test_case "two-hart turns are one quantum" `Quick
+            two_hart_turns_are_one_quantum;
           Alcotest.test_case "cmplog compare coverage" `Quick
             cmplog_compare_coverage;
           Alcotest.test_case "cmplog agreement gradient" `Quick

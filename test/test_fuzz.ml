@@ -267,9 +267,9 @@ let campaign_deterministic () =
   let a = run () and b = run () in
   Alcotest.(check bool) "same findings and coverage" true (a = b)
 
-(* Fixed-seed trajectories pinned to the values the full-bitmap-scan
-   triage produced: an O(edges touched) triage must not move a single
-   admission, exec or finding. *)
+(* Fixed-seed trajectories pinned: an exec-path change that claims to
+   leave campaigns alone (an O(edges touched) triage, say) must not move a
+   single admission, exec or finding. *)
 let campaign_trajectories_pinned () =
   let pinned name ~corpus ~coverage ~insns found =
     let fw = Option.get (Firmware_db.find name) in
@@ -293,17 +293,71 @@ let campaign_trajectories_pinned () =
             (fun (f : Campaign.found) -> (f.f_bug.b_id, f.f_exec, f.f_confirmed))
             r.r_found))
   in
-  pinned "OpenHarmony-stm32mp1" ~corpus:112 ~coverage:518 ~insns:2812484
+  pinned "OpenHarmony-stm32mp1" ~corpus:101 ~coverage:497 ~insns:2917178
     [ ("liteos/vfs_path_lookup", 1, true) ];
-  pinned "OpenWRT-armvirt" ~corpus:61 ~coverage:241 ~insns:3896924
+  pinned "OpenWRT-armvirt" ~corpus:57 ~coverage:229 ~insns:3437212
     [
-      ("linux/atl1c_close", 64, true);
+      ("linux/atl1c_close", 159, true);
       ("linux/mvneta_tx_fill", 30, true);
-      ("linux/nf_setrule", 274, true);
+      ("linux/nf_setrule", 288, true);
       ("linux/nfs_common_decode", 1, true);
       ("linux/r8169_get_stats", 30, true);
-      ("linux/wext_scan_result", 236, true);
     ]
+
+(* Engine invariance on every registered image: two instances of the
+   campaign's build with its coverage front-end, one left on Fast and one
+   switched to Baseline after boot, run the same seeded programs.  Per
+   exec, retired insns, the coverage signature, the new report titles and
+   the stop must agree; after a crash both sides restore the post-boot
+   checkpoint, as the campaign does.  Every turn boundary under the
+   default rotation is then engine-invariant, and so is the trajectory. *)
+let campaign_engine_invariance () =
+  let module M = Embsan_emu.Machine in
+  let module Cov = Embsan_emu.Coverage in
+  let module Snap = Embsan_snap.Snap in
+  let module Report = Embsan_core.Report in
+  let execs = 100 in
+  List.iter
+    (fun (fw : Firmware_db.firmware) ->
+      let cfg = Campaign.default_config fw in
+      let side engine =
+        let cov = Cov.create ~harts:2 in
+        let inst = Campaign.boot_with_coverage cfg cov in
+        M.set_engine inst.machine engine;
+        let snap = Snap.capture ?runtime:inst.rt inst.machine in
+        (inst, cov, snap, ref (List.length (Report.unique_reports inst.sink)))
+      in
+      let exec ((inst : Replay.instance), cov, snap, seen) prog =
+        Cov.reset_edges cov;
+        let o = Replay.replay inst (Prog.to_reproducer prog) in
+        let reports = Report.unique_reports inst.sink in
+        let fresh =
+          List.filteri (fun i _ -> i >= !seen) reports |> List.map Report.title
+        in
+        seen := List.length reports;
+        let stop = Option.map (Fmt.str "%a" M.pp_stop) o.o_crash in
+        if o.o_crash <> None then begin
+          ignore (Snap.restore snap : int);
+          seen := List.length (Report.unique_reports inst.sink)
+        end;
+        (o.o_insns, Cov.signature cov, fresh, stop)
+      in
+      let fast = side M.Fast and base = side M.Baseline in
+      let rng = Rng.create ~seed:1 in
+      for i = 1 to execs do
+        let prog = Prog.gen rng fw.fw_syscalls in
+        let ia, sa, ra, ca = exec fast prog and ib, sb, rb, cb = exec base prog in
+        let check what ok =
+          if not ok then
+            Alcotest.failf "%s exec %d: %s differs on Fast and Baseline (%a)"
+              fw.fw_name i what Prog.pp prog
+        in
+        check "retired insns" (ia = ib);
+        check "coverage signature" (sa = sb);
+        check "new reports" (ra = rb);
+        check "stop" (ca = cb)
+      done)
+    (Firmware_db.all @ Firmware_db.suites)
 
 let campaign_seed_variation () =
   let fw = small_fw () in
@@ -459,6 +513,8 @@ let () =
           Alcotest.test_case "deterministic" `Slow campaign_deterministic;
           Alcotest.test_case "fixed-seed trajectories pinned" `Quick
             campaign_trajectories_pinned;
+          Alcotest.test_case "Fast and Baseline follow one trajectory" `Quick
+            campaign_engine_invariance;
           Alcotest.test_case "seed variation" `Slow campaign_seed_variation;
           Alcotest.test_case "Tardis mode on closed firmware" `Slow
             tardis_mode_needs_no_guest_support;

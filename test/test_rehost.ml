@@ -185,8 +185,7 @@ let rehost_cfg ~irq ~seed ~execs =
     sanitizers = Embsan.kasan_only;
     max_execs = execs;
     seed;
-    use_rehost = true;
-    use_irq = irq;
+    rehosting = (if irq then Campaign.Mmio_irq else Campaign.Mmio);
   }
 
 let campaign_finds_with_injection () =
@@ -219,8 +218,7 @@ let confirms_on_campaign_build () =
       max_execs = 60;
       seed = Rng.split_seed ~seed:1 ~shard:1;
       stop_when_all_found = false;
-      use_rehost = true;
-      use_irq = true;
+      rehosting = Campaign.Mmio_irq;
     }
   in
   let r = Campaign.run cfg in
@@ -245,8 +243,7 @@ let minimizes_rehost_to_none () =
       (Campaign.default_config fw) with
       max_execs = 1500;
       seed = 3;
-      use_rehost = true;
-      use_irq = true;
+      rehosting = Campaign.Mmio_irq;
     }
   in
   let r = Campaign.run cfg in
